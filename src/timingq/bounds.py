@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import _output
 from .distributions import (
@@ -125,9 +124,10 @@ def cas_bound(lam: float, service) -> float:
 
     Mutual information between the (exponential, rate lam) idle time and
     the inter-departure time, divided by the mean cycle:
-    [h(W+S) - h(S)] / (1/lam + E[S]).  h(W+S) always goes through the
-    numerical convolution so that analytic special cases remain genuine
-    cross-checks rather than identities.
+    [h(W+S) - h(S)] / (1/lam + E[S]).  h(W+S) is always the certified
+    quadrature `NumericalConvolution.entropy`, over the exact density of
+    W + S for every shipped service law, so exponential service remains a
+    genuine cross-check of the closed-form `rate_R` rather than an identity.
 
     A point-mass service makes the channel from idle time to departure
     time noiseless, so the bound is +inf (and vacuous).
@@ -156,13 +156,15 @@ def g_rho(rho: float, abs_tol: float = 1e-8) -> float:
         rho > 1:  -∫ exp(-t/(rho-1)) q(t) log q(t) dt
 
     The branch split is pinned by requiring `hypoexp_entropy_rewritten` to
-    agree with the direct quadrature `hypoexp_entropy` (see the tests);
+    agree with the closed-form `hypoexp_entropy` (see the tests);
     rho = 1 is excluded and handled by the equal-rates path upstream.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if rho == 1.0:
         raise ValueError("rho = 1 is handled by the equal-rates entropy path")
+
+    from scipy import integrate
 
     if rho < 1.0:
         decay = rho / (1.0 - rho)
@@ -187,8 +189,8 @@ def g_rho(rho: float, abs_tol: float = 1e-8) -> float:
 def hypoexp_entropy_rewritten(lam: float, mu: float) -> float:
     """Entropy of the two-rate sum law via the shape integral, in nats.
 
-    Independent route from `hypoexp_entropy` (different integrand and
-    variable), used as a cross-check:
+    A quadrature route independent of the closed-form `hypoexp_entropy`,
+    used as a cross-check:
 
         h = -log mu + 1 + 1/rho - log(rho/|1-rho|) + rho/(1-rho)^2 * g(rho)
     """
@@ -288,12 +290,19 @@ class OptimumReport:
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float):
-    """Standard golden-section search for a maximum on [lo, hi]."""
+    """Standard golden-section search for a maximum on [lo, hi].
+
+    Stops at width `tol`, or earlier once rounding keeps the bracket from
+    shrinking, so a `tol` below the float spacing near the peak cannot
+    loop forever.
+    """
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
@@ -317,6 +326,8 @@ def maximize_rate(mu: float, bracket: tuple[float, float] = (0.01, 2.0),
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def f(rho: float) -> float:
         return rate_R(rho * mu, mu) / mu

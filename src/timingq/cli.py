@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -71,9 +72,9 @@ def parse_grid(text: str, log: bool = False) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"--rho: {exc}") from exc
-    if not (0 < lo < hi) or count < 2:
+    if not (0 < lo < hi < math.inf) or count < 2:
         raise ValidationError(
-            f"--rho: need 0 < lo < hi and count >= 2, got {text!r}")
+            f"--rho: need 0 < lo < hi < inf and count >= 2, got {text!r}")
     return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
 
 
@@ -187,6 +188,10 @@ def _cmd_bounds(args) -> str:
     _require_positive(args.mu, "--mu")
     grid = parse_grid(args.rho, args.log)
     service = parse_service(args.service) if args.service else None
+    if isinstance(service, Deterministic):
+        raise ValidationError(
+            "--service: a point mass has no differential entropy, "
+            "so the universal bound is undefined")
     curve = bounds.sweep(grid, args.mu, service=service,
                          include_cas=not args.no_cas)
     return curve.to_csv(_config_dict(args))
@@ -201,6 +206,8 @@ def _cmd_optimum(args) -> str:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ValidationError(f"--bracket: {exc}") from exc
+    if not 0 < args.tol < math.inf:
+        raise ValidationError(f"--tol: must be positive and finite, got {args.tol}")
     try:
         report = bounds.maximize_rate(args.mu, bracket=(lo, hi), tol=args.tol)
     except ValueError as exc:

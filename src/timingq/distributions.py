@@ -1,11 +1,15 @@
 """Probability models for service, inter-arrival, and inter-departure durations.
 
 Service distributions expose sampling, exact log-densities, means, and
-differential entropies (analytic where a closed form exists, adaptive
-quadrature otherwise).  Inter-departure models describe D = W + S, the sum
-of an exponential idle period and a service duration: the exponential /
-exponential case has the classic hypoexponential density, every other
-service law goes through numerical convolution.
+closed-form differential entropies.  Inter-departure models describe
+D = W + S, the sum of an exponential idle period and a service duration.
+With exponential service D is the two-rate sum law, whose density and
+entropy are closed forms.  For every service law the CLI accepts
+(exponential, point mass, uniform, Erlang) `NumericalConvolution` also
+evaluates the density of D exactly; any other law goes through a
+Gauss-Legendre convolution.  The entropy of D for a non-exponential
+service is a composite quadrature with certified error, the one place in
+this module that can raise QuadratureError.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -19,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, optimize, stats
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaincinv, gammaln, hyp1f1, logsumexp, psi
 
 __all__ = [
     "QuadratureError",
@@ -35,15 +38,15 @@ __all__ = [
     "hypoexp_entropy",
 ]
 
-# Absolute-error target for every entropy quadrature in this module.
+# Absolute-error target of the convolution entropy quadrature.
 ENTROPY_ABS_TOL = 1e-8
 
 # Below this relative rate separation the hypoexponential density is a 0/0
 # form and we switch to its Erlang-2 limit.
 _EQUAL_RATE_REL_TOL = 1e-9
 
-# Survival-probability level defining the upper integration limit for
-# entropy quadratures: [0, Q] with P[D > Q] <= _TAIL_MASS.
+# Survival-probability level defining the upper integration limit of the
+# convolution entropy quadrature: [0, Q] with P[D > Q] <= _TAIL_MASS.
 _TAIL_MASS = 1e-12
 
 
@@ -85,27 +88,6 @@ def _neg_f_log_f(log_pdf, x):
     finite = np.isfinite(lp)
     out[finite] = -np.exp(lp[finite]) * lp[finite]
     return out
-
-
-def _entropy_quad(log_pdf, upper, points=(), abs_tol=ENTROPY_ABS_TOL,
-                  tail_estimate=0.0):
-    """Adaptive quadrature of -f log f on [0, upper] with certified error.
-
-    `points` marks known fast-scale features or kinks.  The reported error
-    is QUADPACK's estimate plus `tail_estimate` for the truncated
-    exponential tail; exceeding `abs_tol` raises QuadratureError.
-    """
-
-    def integrand(d):
-        return float(_neg_f_log_f(log_pdf, np.array([d]))[0])
-
-    pts = sorted({p for p in points if 0.0 < p < upper})
-    value, err = integrate.quad(integrand, 0.0, upper, points=pts or None,
-                                epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=800)
-    total_err = err + tail_estimate
-    if total_err > abs_tol:
-        raise QuadratureError("entropy quadrature did not converge", total_err)
-    return value, total_err
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +205,14 @@ class Erlang:
         return _maybe_scalar(out, scalar)
 
     def entropy(self) -> float:
-        # no closed form used here on purpose: quadrature path, checked in
-        # tests against the analytic gamma entropy
-        upper = self.quantile(1.0 - _TAIL_MASS)
-        mode = max((self.shape - 1) / self.rate, 1e-12)
-        value, _ = _entropy_quad(self.log_pdf, upper,
-                                 points=(mode, 5.0 * mode),
-                                 tail_estimate=_TAIL_MASS * (self.rate * upper + 40.0))
-        return value
+        # gamma entropy k - log(rate) + log Gamma(k) + (1 - k) psi(k); the
+        # tests check it against scipy.stats and a certified quadrature
+        k = self.shape
+        return float(k - math.log(self.rate) + gammaln(k) + (1 - k) * psi(k))
 
     def ppf(self, q):
-        return stats.gamma.ppf(q, a=self.shape, scale=1.0 / self.rate)
+        q, scalar = _as_float_array(q)
+        return _maybe_scalar(gammaincinv(self.shape, q) / self.rate, scalar)
 
     def quantile(self, q: float) -> float:
         return float(self.ppf(q))
@@ -385,6 +364,8 @@ class Hypoexponential:
     def quantile(self, q: float) -> float:
         if not 0 < q < 1:
             raise ValueError("quantile level must be in (0, 1)")
+        from scipy import optimize
+
         hi = 1.0
         while self.sf(hi) > 1.0 - q:
             hi *= 2.0
@@ -398,34 +379,83 @@ class Hypoexponential:
 def hypoexp_entropy(lam: float, mu: float) -> float:
     """Differential entropy of Exponential(lam) + Exponential(mu), in nats.
 
-    Adaptive quadrature of -f log f over [0, Q] with Q the 1 - 1e-12
-    quantile; the discarded exponential tail enters the error budget as an
-    analytic envelope estimate.  Absolute error is certified to 1e-8 or a
-    QuadratureError is raised.  The equal-rate limit is the Erlang-2
-    density, handled on its own branch.
+    Exact: with rates a < b and z = b/(b - a),
+
+        h = 1 + gamma - log a + (psi(z) - log z),
+
+    gamma being Euler's constant.  The bracket tends to 0 as the rates
+    merge, so grouping it keeps near-equal rates free of cancellation.
+    Below 1e-9 relative separation the density's Erlang-2 branch applies
+    and so does its entropy, 1 + gamma - log r.
     """
     model = Hypoexponential(lam, mu)
     a, b = model._rates()
-    upper = model.quantile(1.0 - _TAIL_MASS)
-    # beyond Q the integrand is below f * (a d + const); its integral is
-    # bounded by the tail mass times the log-density magnitude at Q plus
-    # one extra unit of linear growth per 1/a
-    tail = _TAIL_MASS * (abs(float(model.log_pdf(upper))) + 2.0)
-    # breakpoints resolve the fast scale 1/b when the rates are far apart
-    points = (0.5 / b, 2.0 / b, 10.0 / b, 30.0 / b, 1.0 / a, 5.0 / a)
-    value, _ = _entropy_quad(model.log_pdf, upper, points=points,
-                             tail_estimate=tail)
-    return value
+    if model._equal_rates():
+        return 1.0 + np.euler_gamma - math.log(0.5 * (a + b))
+    z = b / (b - a)
+    return float(1.0 + np.euler_gamma - math.log(a) + (psi(z) - math.log(z)))
+
+
+# Exact log-densities of D = W + S, W ~ Exp(lam), for the service laws that
+# have one.  Each takes a float array d and returns an array of its shape.
+
+def _point_mass_sum_log_pdf(lam, service, d):
+    # a shifted exponential
+    x = d - service.value
+    return np.where(x > 0, math.log(lam) - lam * x, -np.inf)
+
+
+def _exponential_sum_log_pdf(lam, service, d):
+    return Hypoexponential(lam, service.rate).log_pdf(d)
+
+
+def _uniform_sum_log_pdf(lam, service, d):
+    # f_D(d) = [e^(-lam (d - m)) - e^(-lam (d - lo))] / (hi - lo) with
+    # m = min(d, hi), for d > lo
+    lo, hi = service.lo, service.hi
+    out = np.full(d.shape, -np.inf)
+    pos = d > lo
+    dp = d[pos]
+    m = np.minimum(dp, hi)
+    out[pos] = (np.log(-np.expm1(-lam * (m - lo))) - lam * (dp - m)
+                - math.log(hi - lo))
+    return out
+
+
+def _erlang_sum_log_pdf(lam, service, d):
+    # f_D(d) = lam beta^k d^k e^(-lam d) / k! * 1F1(k; k+1; (lam - beta) d)
+    #        = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; (beta - lam) d),
+    # the second by Kummer's transformation.  Taking the form whose 1F1
+    # argument is nonpositive keeps 1F1 in (0, 1] and no factor overflows.
+    k, beta = service.shape, service.rate
+    out = np.full(d.shape, -np.inf)
+    pos = d > 0
+    dp = d[pos]
+    front = math.log(lam) + k * math.log(beta) - gammaln(k + 1) + k * np.log(dp)
+    if beta >= lam:
+        out[pos] = front - lam * dp + np.log(hyp1f1(k, k + 1, (lam - beta) * dp))
+    else:
+        out[pos] = front - beta * dp + np.log(hyp1f1(1, k + 1, (beta - lam) * dp))
+    return out
+
+
+_EXACT_SUM_LOG_PDF = {
+    Deterministic: _point_mass_sum_log_pdf,
+    Exponential: _exponential_sum_log_pdf,
+    Uniform: _uniform_sum_log_pdf,
+    Erlang: _erlang_sum_log_pdf,
+}
 
 
 class NumericalConvolution:
     """Density of D = W + S for W ~ Exp(lam) independent of service S.
 
-    The density f_D(d) = integral of lam e^(-lam w) f_S(d - w) over the
-    window where both factors live, evaluated with fixed-order
-    Gauss-Legendre quadrature in log space.  A point-mass service is the
-    one special case: the sum is then just a shifted exponential and both
-    the density and the entropy are exact.
+    The density is exact for the exponential, point-mass, uniform and
+    Erlang services.  For any other law it is f_D(d) = integral of
+    lam e^(-lam w) f_S(d - w) over the window where both factors live,
+    evaluated with fixed-order Gauss-Legendre quadrature in log space.  The
+    entropy is a certified composite quadrature of the density, except for
+    a point mass, whose sum is a shifted exponential with exact entropy.
     """
 
     _GL_ORDER = 256
@@ -435,7 +465,6 @@ class NumericalConvolution:
             raise ValueError(f"lam must be positive, got {lam}")
         self.lam = float(lam)
         self.service = service
-        self._shift = service.value if isinstance(service, Deterministic) else None
 
     def mean(self) -> float:
         return 1.0 / self.lam + self.service.mean()
@@ -445,10 +474,9 @@ class NumericalConvolution:
 
     def log_pdf(self, d, _chunk=20_000):
         d, scalar = _as_float_array(d)
-        if self._shift is not None:
-            x = d - self._shift
-            out = np.where(x > 0, math.log(self.lam) - self.lam * x, -np.inf)
-            return _maybe_scalar(out, scalar)
+        exact = _EXACT_SUM_LOG_PDF.get(type(self.service))
+        if exact is not None:
+            return _maybe_scalar(exact(self.lam, self.service, d), scalar)
         flat = np.atleast_1d(d).ravel()
         out = np.empty(flat.shape)
         for start in range(0, flat.size, _chunk):
@@ -495,7 +523,7 @@ class NumericalConvolution:
         evaluations of every panel plus the truncated-tail envelope;
         QuadratureError if it exceeds abs_tol.
         """
-        if self._shift is not None:
+        if isinstance(self.service, Deterministic):
             # shifting does not change differential entropy
             return 1.0 - math.log(self.lam)
         upper = self.quantile_bound(1.0 - _TAIL_MASS)

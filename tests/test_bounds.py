@@ -241,6 +241,12 @@ def test_maximize_rate_needs_interior_peak():
         maximize_rate(1.0, bracket=(0.7, 0.3))
 
 
+def test_maximize_rate_rejects_bad_tolerance():
+    for tol in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            maximize_rate(1.0, bracket=(0.4, 0.5), tol=tol)
+
+
 def test_optimum_report_dict():
     report = maximize_rate(1.0, bracket=(0.4, 0.5), tol=1e-4)
     data = report.as_dict()

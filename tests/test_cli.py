@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import timingq
 from conftest import RATE_STAR
 from timingq.cli import (
     DEFAULT_SEED,
@@ -56,6 +61,9 @@ def test_parse_grid():
         parse_grid("1:5")
     with pytest.raises(ValidationError):
         parse_grid("0:5:3", log=True)
+    for text in ("0.05:inf:3", "0.05:nan:3", "-inf:1:3"):
+        with pytest.raises(ValidationError):
+            parse_grid(text)
 
 
 def test_parse_int_list():
@@ -109,6 +117,28 @@ def test_bounds_includes_convolution_column(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
     for r in rows:
         assert abs(float(r[3]) - float(r[1])) < 1e-9
+
+
+def test_analytic_run_loads_no_heavy_scipy_modules(tmp_path):
+    # the shipped laws need only scipy.special; importing scipy.integrate,
+    # optimize or stats would add about a second of start-up to every run
+    script = textwrap.dedent(f"""
+        import json, sys
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.stats")
+        import timingq.cli
+        loaded = {{"import": [m for m in heavy if m in sys.modules]}}
+        rc = timingq.cli.main(["bounds", "--mu", "1", "--service", "erlang:2:2",
+                               "--rho", "0.05:10:3", "--out", {str(tmp_path / "b.csv")!r}])
+        loaded["main"] = [m for m in heavy if m in sys.modules]
+        print(json.dumps({{"rc": rc, "loaded": loaded}}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(timingq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"rc": 0, "loaded": {"import": [], "main": []}}
 
 
 def test_optimum_json(tmp_path):
@@ -191,9 +221,35 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["bounds", "--mu", "1", "--rho", "nope",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "--rho" in capsys.readouterr().err
+    assert main(["bounds", "--mu", "1", "--rho", "0.05:inf:3",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--rho" in capsys.readouterr().err
+    assert main(["bounds", "--mu", "1", "--service", "det:1",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--service" in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["decode", "--M", "0", "--lam", "1", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
+def test_optimum_rejects_non_positive_or_non_finite_tol(tol, tmp_path, capsys):
+    rc = main(["optimum", "--mu", "1", "--bracket", "0.4:0.5", "--tol", tol,
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--tol" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_optimum_tol_below_float_spacing_terminates(tmp_path):
+    # the bracket cannot shrink below the float spacing near the peak, so a
+    # tiny tol must stop there rather than loop forever
+    out = tmp_path / "opt.json"
+    rc = main(["optimum", "--mu", "1", "--bracket", "0.4:0.5",
+               "--tol", "1e-300", "--out", str(out)])
+    assert rc == 0
+    assert abs(json.loads(out.read_text())["value"] - RATE_STAR) < 1e-8
 
 
 def test_unknown_subcommand_exits_one(capsys):
