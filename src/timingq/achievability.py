@@ -27,7 +27,7 @@ import numpy as np
 from . import _output
 from .bounds import rate_R
 from .coding import Codebook, DecodeFailure, encode, ml_decode
-from .distributions import Exponential, Hypoexponential, NumericalConvolution
+from .distributions import Exponential, NumericalConvolution
 from .queue_sim import SimConfig, expected_decode_time, simulate
 
 __all__ = [
@@ -48,10 +48,8 @@ class TrialFailure(RuntimeError):
 
 
 def departure_model(lam: float, service):
-    """True inter-departure law under Poisson(lam) arrivals: the analytic
-    two-rate sum for exponential service, numerical convolution otherwise."""
-    if isinstance(service, Exponential):
-        return Hypoexponential(lam, service.rate)
+    """True inter-departure law under Poisson(lam) arrivals.  Its density is
+    exact for every service law the CLI accepts (see NumericalConvolution)."""
     return NumericalConvolution(lam, service)
 
 

@@ -33,8 +33,13 @@ def significantly_greater(errors_a, errors_b, trials):
 # ------------------------------------------------------- information density
 
 def test_departure_model_selection():
-    assert isinstance(departure_model(0.5, Exponential(1.0)), Hypoexponential)
+    # one model for every service law; it takes the exact two-rate sum
+    # density for exponential service
     assert isinstance(departure_model(0.5, Erlang(2, 2.0)), NumericalConvolution)
+    dep = departure_model(0.5, Exponential(1.0))
+    assert isinstance(dep, NumericalConvolution)
+    d = np.linspace(0.01, 30.0, 200)
+    assert np.array_equal(dep.log_pdf(d), Hypoexponential(0.5, 1.0).log_pdf(d))
 
 
 def test_single_trial_tracks_rate_at_large_n():

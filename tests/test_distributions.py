@@ -173,11 +173,14 @@ def test_entropy_objects_agree_with_module_function():
 
 def test_convolution_matches_two_rate_closed_form():
     # exponential service makes the numerical convolution redundant, which is
-    # exactly why it is the strongest check available for it
+    # exactly why it is the strongest check available for it; log_pdf takes
+    # the exact form for this law, so the Gauss-Legendre block is called
+    # directly
     d = np.linspace(0.05, 25.0, 300)
     for lam in (1e-3, 0.08, 0.456, 2.0, 50.0):
         conv = NumericalConvolution(lam, Exponential(1.0))
         ref = Hypoexponential(lam, 1.0).log_pdf(d)
+        assert np.max(np.abs(conv._log_pdf_block(d) - ref)) < 1e-10
         assert np.max(np.abs(conv.log_pdf(d) - ref)) < 1e-10
 
 
@@ -186,6 +189,7 @@ def test_convolution_uniform_service_closed_form():
     conv = NumericalConvolution(lam, Uniform(0.0, 2.0))
     d = np.linspace(0.05, 12.0, 160)
     ref = np.log(0.5 * (np.exp(-lam * np.maximum(d - 2.0, 0.0)) - np.exp(-lam * d)))
+    assert np.max(np.abs(conv._log_pdf_block(d) - ref)) < 1e-12
     assert np.max(np.abs(conv.log_pdf(d) - ref)) < 1e-12
 
 
