@@ -5,7 +5,6 @@ byte-identical across runs with the same inputs."""
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
@@ -13,17 +12,13 @@ OUTDIR_ENV = "TIMINGQ_OUTDIR"
 
 
 def fmt(x) -> str:
-    """Render a number for CSV: round-trip repr for floats, plain ints."""
+    """Render a number for CSV: plain ints, and for floats the shortest
+    round-trip repr, which spells the specials nan, inf and -inf."""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, (int,)) and not isinstance(x, bool):
+    if isinstance(x, int):
         return str(x)
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    return repr(float(x))
 
 
 def json_text(obj) -> str:
@@ -44,17 +39,17 @@ def csv_text(columns, rows, config: dict | None = None) -> str:
     if config is not None:
         lines.append(config_comment(config))
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(fmt(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.append("")  # the trailing newline, without copying the text again
+    return "\n".join(lines)
+
+
+def _cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, str):
+        return cell
+    return fmt(cell)
 
 
 def resolve_out_path(out: str | None) -> Path | None:

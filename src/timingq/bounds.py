@@ -69,7 +69,10 @@ def rate_R(lam: float, mu: float) -> float:
     """
     if lam <= 0 or mu <= 0:
         raise ValueError("rates must be positive")
-    return (hypoexp_entropy(lam, mu) - 1.0 + math.log(mu)) / (1.0 / lam + 1.0 / mu)
+    # h(D) >= h(S) since D = W + S with W independent; at rho >= 1e16 the
+    # closed-form difference rounds to about -1e-16
+    gain = hypoexp_entropy(lam, mu) - 1.0 + math.log(mu)
+    return max(gain, 0.0) / (1.0 / lam + 1.0 / mu)
 
 
 def rate_R_normalized(lam: float, mu: float) -> float:

@@ -192,6 +192,12 @@ def _cmd_bounds(args) -> str:
         raise ValidationError(
             "--service: a point mass has no differential entropy, "
             "so the universal bound is undefined")
+    if service is not None and not math.isclose(service.mean(), 1.0 / args.mu,
+                                                 rel_tol=1e-9):
+        raise ValidationError(
+            f"--service: mean {service.mean()!r} differs from 1/--mu = "
+            f"{1.0 / args.mu!r}; the rate column is the exponential(mu) rate, "
+            "which stays below the converse only at the same mean")
     curve = bounds.sweep(grid, args.mu, service=service,
                          include_cas=not args.no_cas)
     return curve.to_csv(_config_dict(args))

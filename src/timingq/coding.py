@@ -16,12 +16,14 @@ and replayable decoding possible without storing anything.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import _inter_arrival_law
+from .queue_sim import _extend_epochs, _first_after
 
 __all__ = ["Codebook", "DecodeResult", "DecodeFailure",
            "encode", "reconstruct_idle", "ml_decode"]
@@ -64,16 +66,16 @@ class Codebook:
     codewords) or from explicit finite sequences via `from_sequences`.
     Epoch prefixes are cached per message and extended on demand; the cache
     is guarded so a codebook can be shared across worker threads.
+    `sequences`, validated by `from_sequences`, holds explicit codewords.
     """
 
-    def __init__(self, M: int, seed: int, inter_arrival):
+    def __init__(self, M: int, seed: int, inter_arrival, sequences=None):
         if M < 1:
             raise ValueError(f"M must be at least 1, got {M}")
         self.M = int(M)
         self.seed = int(seed) & (2**64 - 1)
         self.inter_arrival = _inter_arrival_law(inter_arrival)
-        self._explicit = None
-        self._gap_cache: dict[int, np.ndarray] = {}
+        self._explicit = sequences
         self._epochs: dict[int, np.ndarray] = {}
         self._matrix = None
         self._lock = threading.Lock()
@@ -87,18 +89,7 @@ class Codebook:
                 raise ValueError("each codeword must start with gap 0")
             if np.any(s[1:] <= 0):
                 raise ValueError("codeword gaps after the first must be positive")
-        cb = cls.__new__(cls)
-        cb.M = len(seqs)
-        cb.seed = 0
-        cb.inter_arrival = None
-        cb._explicit = seqs
-        cb._gap_cache = {}
-        cb._epochs = {u + 1: np.cumsum(s) for u, s in enumerate(seqs)}
-        cb._matrix = None
-        cb._lock = threading.Lock()
-        if cb.M < 1:
-            raise ValueError("need at least one codeword")
-        return cb
+        return cls(len(seqs), 0, None, sequences=seqs)
 
     def _check_u(self, u: int) -> None:
         if not 1 <= u <= self.M:
@@ -120,25 +111,19 @@ class Codebook:
         """Arrival epochs of codeword u, extended until the last one exceeds
         `beyond` (or the codeword runs out, for explicit sequences).
 
-        Epochs are always one cumulative sum over the full gap prefix, so
-        the floats are identical no matter how the extension was chunked;
-        that is what lets the decoder reproduce simulator-side idle times
-        bit for bit.
+        Each extension accumulates from the last cached epoch
+        (`_extend_epochs`), so the floats equal one cumulative sum over the
+        whole gap prefix however the extension was chunked; that is what
+        lets the decoder reproduce simulator-side idle times bit for bit.
         """
         self._check_u(u)
         with self._lock:
-            ep = self._epochs.get(u)
-            if ep is None:
-                ep = np.zeros(1)
+            ep = self._epochs.get(u, np.zeros(1))
             while ep[-1] <= beyond:
-                if self._explicit is not None:
+                new = self.gaps(u, ep.size, ep.size + max(64, ep.size - 1))
+                if new.size == 0:
                     break
-                held = self._gap_cache.get(u, np.empty(0))
-                grow = max(64, held.size)
-                new = self.gaps(u, held.size + 1, held.size + 1 + grow)
-                held = np.concatenate([held, new])
-                self._gap_cache[u] = held
-                ep = np.concatenate(([0.0], np.cumsum(held)))
+                ep = np.concatenate([ep, _extend_epochs(ep[-1], new)])
             self._epochs[u] = ep
             return ep
 
@@ -200,18 +185,15 @@ def reconstruct_idle(codebook: Codebook, u: int, inter_departures) -> float:
 
     With departures through epoch T = sum of the gaps, hypothesis u says the
     next admitted packet is the first codeword arrival strictly after T, so
-    the server idles from T until that arrival.  Codeword entries are
-    consumed lazily as needed.
+    the server idles from T until that arrival: the last entry of
+    `idle_path` over the gaps and one more departure.
     """
-    d = np.asarray(inter_departures, dtype=float)
-    if d.size == 0 or np.any(d < 0):
+    if np.size(inter_departures) == 0:
         raise ValueError("need a nonempty sequence of nonnegative departures")
-    t = float(np.cumsum(d)[-1])
-    ep = codebook.epochs(u, t)
-    m = int(np.searchsorted(ep, t, side="right"))
-    if m >= ep.size:
+    w = float(idle_path(codebook, u, np.append(inter_departures, 0.0))[-1])
+    if w == math.inf:
         raise ValueError("codeword exhausted before any arrival passed the last departure")
-    return float(ep[m] - t)
+    return w
 
 
 def idle_path(codebook: Codebook, u: int, inter_departures) -> np.ndarray:
@@ -219,15 +201,23 @@ def idle_path(codebook: Codebook, u: int, inter_departures) -> np.ndarray:
 
     Entry i-1 is the idle time between departure i-1 and the admission of
     the packet that leaves as departure i, replayed from the codeword and
-    the observed gaps d_0..d_{i-1} only.
+    the observed gaps d_0..d_{i-1} only; inf where the codeword ends first.
+    Codeword entries are consumed lazily as needed.
     """
     d = np.asarray(inter_departures, dtype=float)
-    t = np.cumsum(d)
-    ep = codebook.epochs(u, float(t[-2]) if t.size > 1 else 0.0)
-    idx = np.searchsorted(ep, t[:-1], side="right")
-    w = np.full(t.size - 1, np.inf)
-    ok = idx < ep.size
-    w[ok] = ep[idx[ok]] - t[:-1][ok]
+    if not np.all(d >= 0):
+        raise ValueError("departure gaps must be nonnegative")
+    t = np.cumsum(d)[:-1]
+    return _idle_times(codebook.epochs(u, float(t[-1]) if t.size else 0.0), t)
+
+
+def _idle_times(epochs, departures) -> np.ndarray:
+    """Wait from each sorted departure epoch to the first epoch strictly
+    after it, in each row of `epochs`; inf where the row ends first."""
+    idx = _first_after(epochs, departures)
+    last = epochs.shape[-1] - 1
+    w = np.take_along_axis(epochs, np.minimum(idx, last), axis=-1) - departures
+    w[idx > last] = np.inf
     return w
 
 
@@ -258,23 +248,18 @@ def ml_decode(codebook: Codebook, inter_departures, service) -> DecodeResult:
     d = np.asarray(inter_departures, dtype=float)
     if d.ndim != 1 or d.size < 2:
         raise ValueError("need inter-departure gaps d_0..d_n with n >= 1")
-    t = np.cumsum(d)
     n = d.size - 1
 
-    mat = codebook.epoch_matrix(float(t[-2]))
-    # first arrival strictly after each departure epoch, per hypothesis:
-    # count epochs <= t gives the searchsorted 'right' insertion point
-    idx = (mat[:, :, None] <= t[None, None, :n]).sum(axis=1)
-    capped = np.minimum(idx, mat.shape[1] - 1)
-    w = np.take_along_axis(mat, capped, axis=1) - t[None, :n]
-    w[idx >= mat.shape[1]] = np.inf
-    implied = d[None, 1:] - w
-
     scores = np.full(codebook.M, -np.inf)
-    alive = (implied > 0).all(axis=1)
-    if alive.any():
-        lp = service.log_pdf(implied[alive])
-        scores[alive] = np.sum(lp, axis=1)
+    # a gap d_i <= 0 past d_0 leaves no hypothesis a positive service time;
+    # otherwise the departure epochs are sorted, as the replay needs
+    if np.all(d[1:] > 0):
+        t = np.cumsum(d)[:n]
+        implied = d[1:] - _idle_times(codebook.epoch_matrix(float(t[-1])), t)
+        alive = (implied > 0).all(axis=1)
+        if alive.any():
+            lp = service.log_pdf(implied[alive])
+            scores[alive] = np.sum(lp, axis=1)
     if not np.any(scores > -np.inf):
         raise DecodeFailure(
             "all hypotheses eliminated: no codeword admits positive service times")

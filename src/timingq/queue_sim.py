@@ -7,12 +7,14 @@ strictly after T; the gap between T and that arrival is the server's idle
 time, and the next inter-departure gap is idle time plus the new service
 duration.  The first packet arrives at time 0 and is always admitted.
 
-The admitted-index rule lives in `admitted_indices` as a pure function so
-the decoder can replay it against hypothesized arrival sequences.
+The admission rule lives in one replay, `_first_after`, shared by
+`admitted_indices`, trace validation and the decoder, which replays it
+against hypothesized arrival sequences.  Simulation is linear in n.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -30,11 +32,34 @@ __all__ = [
     "trace_csv",
 ]
 
-_CHUNK = 1024
+_CHUNK = 1024      # gaps per draw from a sampled law; fixes its RNG stream
+_FIRST_PULL = 64   # gaps in the first pull from an iterator; doubles to _CHUNK
 
 
 class ArrivalsExhausted(RuntimeError):
     """A finite explicit arrival sequence ended before enough departures."""
+
+
+def _extend_epochs(last: float, gaps) -> np.ndarray:
+    """Epochs last + g_1, last + g_1 + g_2, ...: add.accumulate sums left
+    to right, so extending from the last epoch gives the floats of one
+    cumulative sum over every gap, however the gaps were chunked.  That is
+    what lets the decoder reproduce simulator-side idle times bit for bit."""
+    return np.add.accumulate(np.concatenate(([last], gaps)))[1:]
+
+
+def _first_after(epochs, departures) -> np.ndarray:
+    """The admission replay: in each row of `epochs` (one, or one per
+    hypothesis), the index of the first epoch strictly after each of the
+    nondecreasing `departures` (the row length if none is).  Epoch e is at
+    or before departure i iff searchsorted(departures, e, 'left') <= i, so
+    running counts of those positions give every index in O(rows*(J + n))."""
+    rows = np.atleast_2d(epochs)
+    r, n = rows.shape[0], len(departures)
+    pos = np.searchsorted(departures, rows, side="left")
+    pos += (n + 1) * np.arange(r)[:, None]
+    counts = np.bincount(pos.ravel(), minlength=r * (n + 1)).reshape(r, n + 1)
+    return np.cumsum(counts[:, :n], axis=1).reshape(np.shape(epochs)[:-1] + (n,))
 
 
 def admitted_indices(arrival_epochs, departure_epochs) -> np.ndarray:
@@ -53,7 +78,7 @@ def admitted_indices(arrival_epochs, departure_epochs) -> np.ndarray:
         raise ValueError("expected one-dimensional, nonempty epoch sequences")
     if np.any(np.diff(epochs) < 0) or np.any(np.diff(deps) < 0):
         raise ValueError("epoch sequences must be nondecreasing")
-    nxt = np.searchsorted(epochs, deps, side="right")
+    nxt = _first_after(epochs, deps)
     resolved = int(np.searchsorted(nxt, epochs.size, side="left"))
     return np.concatenate(([0], nxt[:resolved])).astype(np.intp)
 
@@ -127,56 +152,30 @@ class QueueTrace:
             raise ValueError("arrival epochs must be nonnegative")
 
 
-class _EpochBuffer:
-    """Arrival epochs materialized on demand from a model or a gap source."""
+def _gap_chunks(arrival, rng):
+    """Arrival gaps after the time-origin packet, in chunks: _CHUNK draws at
+    a time from a law, or pulls from an explicit gap source that double from
+    _FIRST_PULL to _CHUNK until it runs out."""
+    law = getattr(arrival, "inter_arrival", None)
+    if not hasattr(law, "sample"):
+        law = arrival if callable(getattr(arrival, "sample", None)) else None
+    if law is not None:
+        return (law.sample(rng, size=_CHUNK) for _ in itertools.count())
+    source = iter(arrival)
+    first = next(source, None)
+    if first is None or float(first) != 0.0:
+        raise ValueError(
+            "explicit arrival gaps must start with 0, the time-origin packet")
+    return _pulls(source)
 
-    def __init__(self, arrival, rng):
-        self._law = None
-        self._iter = None
-        self._rng = rng
-        self._exhausted = False
-        sample = getattr(arrival, "sample", None)
-        inter = getattr(arrival, "inter_arrival", None)
-        if inter is not None and hasattr(inter, "sample"):
-            self._law = inter
-        elif callable(sample):
-            self._law = arrival
-        else:
-            self._iter = iter(arrival)
-            first = next(self._iter, None)
-            if first is None or float(first) != 0.0:
-                raise ValueError(
-                    "explicit arrival gaps must start with 0, the time-origin packet")
-        self._gaps = np.empty(0)
-        self.epochs = np.zeros(1)
 
-    def _extend(self) -> bool:
-        if self._law is not None:
-            new = self._law.sample(self._rng, size=_CHUNK)
-        else:
-            if self._exhausted:
-                return False
-            new = np.array(list(itertools.islice(self._iter, _CHUNK)), dtype=float)
-            if new.size < _CHUNK:
-                self._exhausted = True
-            if new.size == 0:
-                return False
-        if np.any(new <= 0):
-            raise ValueError("arrival gaps after the first must be positive")
-        # one cumulative sum over the whole gap prefix: epoch floats must not
-        # depend on chunk boundaries, or the decoder could not replay them
-        self._gaps = np.concatenate([self._gaps, new])
-        self.epochs = np.concatenate(([0.0], np.cumsum(self._gaps)))
-        return True
-
-    def first_after(self, t: float) -> int:
-        """Index of the earliest arrival with epoch strictly greater than t."""
-        while self.epochs[-1] <= t:
-            if not self._extend():
-                raise ArrivalsExhausted(
-                    f"arrival sequence ended at epoch {float(self.epochs[-1])!r}, "
-                    f"none remain after departure epoch {float(t)!r}")
-        return int(np.searchsorted(self.epochs, t, side="right"))
+def _pulls(source):
+    size = _FIRST_PULL
+    while chunk := list(itertools.islice(source, size)):
+        yield np.array(chunk, dtype=float)
+        if len(chunk) < size:
+            return
+        size = min(2 * size, _CHUNK)
 
 
 def _service_draws(service, count, rng):
@@ -199,31 +198,43 @@ def simulate(config: SimConfig) -> QueueTrace:
     supply the next admission.
     """
     arrival_child, service_child = np.random.SeedSequence(config.seed).spawn(2)
-    buf = _EpochBuffer(config.arrival, np.random.default_rng(arrival_child))
+    chunks = _gap_chunks(config.arrival, np.random.default_rng(arrival_child))
     services = _service_draws(config.service, config.n + 1,
                               np.random.default_rng(service_child))
 
-    admitted = [0]
+    admitted = np.zeros(config.n + 1, dtype=np.intp)
     idles = np.empty(config.n)
     gaps = np.empty(config.n + 1)
-    gaps[0] = services[0]
-    t = float(services[0])
-    for i in range(1, config.n + 1):
-        m = buf.first_after(t)
-        idles[i - 1] = buf.epochs[m] - t
-        gaps[i] = idles[i - 1] + services[i]
-        t += gaps[i]
-        admitted.append(m)
+    # epochs grow by accumulating from the last one; departures only grow,
+    # so each admission is bisected forward from the previous one
+    epochs = [0.0]
+    m = 0
+    t = gaps[0] = float(services[0])
+    for i, s in enumerate(map(float, services[1:]), 1):
+        while epochs[-1] <= t:
+            new = next(chunks, None)
+            if new is None:
+                raise ArrivalsExhausted(
+                    f"arrival sequence ended at epoch {epochs[-1]!r}, "
+                    f"none remain after departure epoch {t!r}")
+            if np.any(new <= 0):
+                raise ValueError("arrival gaps after the first must be positive")
+            epochs.extend(_extend_epochs(epochs[-1], new).tolist())
+        m = admitted[i] = bisect.bisect_right(epochs, t, m)
+        w = idles[i - 1] = epochs[m] - t
+        g = gaps[i] = w + s
+        t += g
 
-    last = admitted[-1]
+    del epochs[m + 1:]
     trace = QueueTrace(
-        arrival_epochs=buf.epochs[: last + 1].copy(),
-        admitted_indices=np.asarray(admitted, dtype=np.intp),
+        arrival_epochs=np.array(epochs),
+        admitted_indices=admitted,
         service_times=services.copy(),
         idle_times=idles,
         inter_departures=gaps,
         departure_epochs=np.cumsum(gaps),
     )
+    del epochs  # free the list before validation allocates its own arrays
     trace.validate()
     return trace
 
@@ -243,14 +254,16 @@ def trace_csv(trace: QueueTrace, config: dict | None = None) -> str:
     is empty on row 0, which has no preceding departure.
     """
     columns = ["i", "k_i", "S_i", "W_{i-1}", "D_i", "departure_epoch"]
-    rows = []
-    for i in range(len(trace.inter_departures)):
-        rows.append((
-            i,
-            int(trace.admitted_indices[i]),
-            trace.service_times[i],
-            None if i == 0 else trace.idle_times[i - 1],
-            trace.inter_departures[i],
-            trace.departure_epochs[i],
-        ))
+
+    def column(values, dtype=float):
+        return map(repr, np.asarray(values, dtype=dtype).tolist())
+
+    rows = zip(
+        map(repr, range(len(trace.inter_departures))),
+        column(trace.admitted_indices, np.int64),
+        column(trace.service_times),
+        itertools.chain([""], column(trace.idle_times)),
+        column(trace.inter_departures),
+        column(trace.departure_epochs),
+    )
     return _output.csv_text(columns, rows, config)

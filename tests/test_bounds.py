@@ -59,6 +59,12 @@ def test_rate_numerator_symmetry():
     assert left == pytest.approx(right, abs=1e-10)
 
 
+def test_rate_nonnegative_at_extreme_load():
+    # the closed-form entropy gain rounds below zero from rho ~ 1e16 on
+    for rho in (1e12, 1e16, 1e100, 1e300):
+        assert rate_R(rho, 1.0) >= 0.0
+
+
 def test_rate_rejects_bad_rates():
     with pytest.raises(ValueError):
         rate_R(0.0, 1.0)

@@ -232,6 +232,27 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "x.json")]) == 1
 
 
+def test_bounds_at_extreme_load_exits_zero(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--mu", "1", "--rho", "0.05:1e300:3", "--no-cas",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+    assert all(float(r[1]) >= 0.0 for r in rows)
+
+
+def test_bounds_rejects_service_mean_other_than_one_over_mu(tmp_path, capsys):
+    # the rate column is the exponential(mu) rate: it is an achievable rate
+    # below the converse only for a service law with mean 1/mu
+    assert main(["bounds", "--mu", "1", "--service", "uniform:0:1e-6",
+                 "--rho", "0.3:0.6:3", "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "--service" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["bounds", "--mu", "1", "--service", "erlang:2:2",
+                 "--rho", "0.3:0.6:3", "--no-cas",
+                 "--out", str(tmp_path / "y.csv")]) == 0
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
 def test_optimum_rejects_non_positive_or_non_finite_tol(tol, tmp_path, capsys):
     rc = main(["optimum", "--mu", "1", "--bracket", "0.4:0.5", "--tol", tol,
