@@ -21,8 +21,6 @@ from .bounds import (
     OptimumReport,
     c_upper,
     cas_bound,
-    g_rho,
-    hypoexp_entropy_rewritten,
     maximize_rate,
     per_service_time,
     rate_R,
@@ -91,9 +89,7 @@ __all__ = [
     "empirical_liminf",
     "encode",
     "expected_decode_time",
-    "g_rho",
     "hypoexp_entropy",
-    "hypoexp_entropy_rewritten",
     "idle_path",
     "info_density_report",
     "info_density_trial",

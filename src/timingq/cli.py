@@ -89,8 +89,8 @@ def parse_int_list(text: str, field: str) -> list[int]:
 
 
 def _require_positive(value: float, field: str) -> float:
-    if value is None or not value > 0:
-        raise ValidationError(f"{field}: must be positive, got {value}")
+    if value is None or not 0 < value < math.inf:
+        raise ValidationError(f"{field}: must be positive and finite, got {value}")
     return value
 
 
@@ -224,13 +224,17 @@ def _cmd_optimum(args) -> str:
 
 def _cmd_simulate(args) -> str:
     if args.fixture is not None:
+        # simulate checks the fixture's gaps and services as it consumes
+        # them, so its input errors are fixture errors too
         try:
             with open(args.fixture) as fh:
                 fixture = json.load(fh)
-            arrival = fixture["arrival_gaps"]
             service = fixture["service_times"]
-            n = int(fixture.get("n", len(service) - 1))
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+            trace = queue_sim.simulate(queue_sim.SimConfig(
+                arrival=fixture["arrival_gaps"], service=service,
+                n=int(fixture.get("n", len(service) - 1)), seed=args.seed))
+        except (OSError, KeyError, ValueError, TypeError, OverflowError,
+                queue_sim.ArrivalsExhausted) as exc:
             raise ValidationError(f"--fixture: {exc}") from exc
     else:
         if args.lam is None or args.n is None:
@@ -238,11 +242,9 @@ def _cmd_simulate(args) -> str:
         _require_positive(args.lam, "--lam")
         if args.n < 1:
             raise ValidationError(f"--n: must be at least 1, got {args.n}")
-        arrival = Exponential(args.lam)
-        service = _service_from_args(args)
-        n = args.n
-    trace = queue_sim.simulate(queue_sim.SimConfig(
-        arrival=arrival, service=service, n=n, seed=args.seed))
+        trace = queue_sim.simulate(queue_sim.SimConfig(
+            arrival=Exponential(args.lam), service=_service_from_args(args),
+            n=args.n, seed=args.seed))
     return queue_sim.trace_csv(trace, _config_dict(args))
 
 
@@ -257,9 +259,11 @@ def _cmd_infodensity(args) -> str:
     target = args.target
     if target is None:
         target = bounds.rate_R(args.lam, 1.0 / service.mean())
+    if not math.isfinite(target):
+        raise ValidationError(f"--target: must be finite, got {target}")
     gamma = args.gamma if args.gamma is not None else 0.05 * target
-    if gamma <= 0:
-        raise ValidationError(f"--gamma: must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValidationError(f"--gamma: must be positive and finite, got {gamma}")
     if len(schedule) > 1 and any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError(f"--n: schedule must be increasing, got {args.n!r}")
     reports = [achievability.info_density_report(

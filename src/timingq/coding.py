@@ -64,8 +64,10 @@ class Codebook:
     origin) and continues with strictly positive gaps.  Gaps come either
     from the hash-and-invert generator (the default, giving infinite
     codewords) or from explicit finite sequences via `from_sequences`.
-    Epoch prefixes are cached per message and extended on demand; the cache
-    is guarded so a codebook can be shared across worker threads.
+    The arrival epochs of all codewords live in one (M, J) matrix, the one
+    `epoch_matrix` returns and `epochs` reads: explicit codewords fill it in
+    full at construction, hashed ones extend it on demand, guarded so a
+    codebook can be shared across worker threads.
     `sequences`, validated by `from_sequences`, holds explicit codewords.
     """
 
@@ -76,8 +78,12 @@ class Codebook:
         self.seed = int(seed) & (2**64 - 1)
         self.inter_arrival = _inter_arrival_law(inter_arrival)
         self._explicit = sequences
-        self._epochs: dict[int, np.ndarray] = {}
-        self._matrix = None
+        if sequences is None:
+            self._matrix = np.zeros((self.M, 1))
+        else:
+            self._matrix = np.full((self.M, max(s.size for s in sequences)), np.inf)
+            for row, s in zip(self._matrix, sequences):
+                row[: s.size] = np.cumsum(s)
         self._lock = threading.Lock()
 
     @classmethod
@@ -87,7 +93,7 @@ class Codebook:
         for s in seqs:
             if s.size == 0 or s[0] != 0.0:
                 raise ValueError("each codeword must start with gap 0")
-            if np.any(s[1:] <= 0):
+            if not np.all(s[1:] > 0):
                 raise ValueError("codeword gaps after the first must be positive")
         return cls(len(seqs), 0, None, sequences=seqs)
 
@@ -108,58 +114,34 @@ class Codebook:
         return self.inter_arrival.ppf(_hash_uniform(self._base(u), j))
 
     def epochs(self, u: int, beyond: float) -> np.ndarray:
-        """Arrival epochs of codeword u, extended until the last one exceeds
-        `beyond` (or the codeword runs out, for explicit sequences).
-
-        Each extension accumulates from the last cached epoch
-        (`_extend_epochs`), so the floats equal one cumulative sum over the
-        whole gap prefix however the extension was chunked; that is what
-        lets the decoder reproduce simulator-side idle times bit for bit.
-        """
+        """Arrival epochs of codeword u, the finite part of its row of
+        `epoch_matrix(beyond)`: past `beyond`, or the whole explicit
+        codeword."""
         self._check_u(u)
-        with self._lock:
-            ep = self._epochs.get(u, np.zeros(1))
-            while ep[-1] <= beyond:
-                new = self.gaps(u, ep.size, ep.size + max(64, ep.size - 1))
-                if new.size == 0:
-                    break
-                ep = np.concatenate([ep, _extend_epochs(ep[-1], new)])
-            self._epochs[u] = ep
-            return ep
+        row = self.epoch_matrix(beyond)[u - 1]
+        return row[np.isfinite(row)]
 
     def epoch_matrix(self, beyond: float) -> np.ndarray:
         """Epochs of all M codewords as one (M, J) array covering `beyond`.
 
+        Hashed codewords are extended until every row passes `beyond`, each
+        time by max(64, J - 1) columns accumulated from the last one
+        (`_extend_epochs`), so the floats equal one cumulative sum over the
+        whole gap prefix however the extension was chunked; that is what
+        lets the decoder reproduce simulator-side idle times bit for bit.
         Explicit codewords shorter than J are padded with +inf, which the
         decoder reads as "no further arrivals": any hypothesis forced past
         the end of its codeword is eliminated rather than erroring out.
         """
         with self._lock:
-            if self._matrix is not None and np.min(self._matrix[:, -1]) > beyond:
-                return self._matrix
-            if self._explicit is not None:
-                width = max(s.size for s in self._explicit)
-                mat = np.full((self.M, width), np.inf)
-                for row, s in enumerate(self._explicit):
-                    mat[row, : s.size] = np.cumsum(s)
-            else:
-                width = 64
-                mat = self._hashed_matrix(width)
-                while np.min(mat[:, -1]) <= beyond:
-                    width *= 2
-                    mat = self._hashed_matrix(width)
-            self._matrix = mat
+            mat = self._matrix
+            while self._explicit is None and np.min(mat[:, -1]) <= beyond:
+                width = mat.shape[1]
+                j = np.arange(width, width + max(64, width - 1), dtype=np.uint64)
+                bases = self._base(np.arange(1, self.M + 1, dtype=np.uint64))
+                gaps = self.inter_arrival.ppf(_hash_uniform(bases[:, None], j))
+                mat = self._matrix = np.hstack((mat, _extend_epochs(mat[:, -1], gaps)))
             return mat
-
-    def _hashed_matrix(self, width: int) -> np.ndarray:
-        bases = self._base(np.arange(1, self.M + 1, dtype=np.uint64))
-        j = np.arange(1, width + 1, dtype=np.uint64)
-        uniforms = _hash_uniform(bases[:, None], j[None, :])
-        gaps = self.inter_arrival.ppf(uniforms)
-        epochs = np.empty((self.M, width + 1))
-        epochs[:, 0] = 0.0
-        np.cumsum(gaps, axis=1, out=epochs[:, 1:])
-        return epochs
 
 
 def encode(codebook: Codebook, u: int):
@@ -170,12 +152,8 @@ def encode(codebook: Codebook, u: int):
     """
     codebook._check_u(u)
     yield 0.0
-    if codebook._explicit is not None:
-        yield from codebook._explicit[u - 1][1:]
-        return
     j = 1
-    while True:
-        chunk = codebook.gaps(u, j, j + 256)
+    while (chunk := codebook.gaps(u, j, j + 256)).size:
         yield from chunk.tolist()
         j += 256
 

@@ -102,8 +102,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -138,8 +138,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"value must be positive, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"value must be positive and finite, got {self.value}")
 
     def mean(self) -> float:
         return self.value
@@ -179,8 +179,8 @@ class Erlang:
     def __post_init__(self):
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -228,8 +228,9 @@ class Uniform:
     def __post_init__(self):
         if self.lo < 0:
             raise ValueError(f"lo must be nonnegative, got {self.lo}")
-        if not self.hi > self.lo:
-            raise ValueError(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
+        if not self.lo < self.hi < math.inf:
+            raise ValueError(
+                f"hi must exceed lo and be finite, got [{self.lo}, {self.hi}]")
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -269,8 +270,8 @@ class PoissonProcess:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     @property
     def inter_arrival(self) -> Exponential:

@@ -40,12 +40,14 @@ class ArrivalsExhausted(RuntimeError):
     """A finite explicit arrival sequence ended before enough departures."""
 
 
-def _extend_epochs(last: float, gaps) -> np.ndarray:
-    """Epochs last + g_1, last + g_1 + g_2, ...: add.accumulate sums left
-    to right, so extending from the last epoch gives the floats of one
+def _extend_epochs(last, gaps) -> np.ndarray:
+    """Epochs last + g_1, last + g_1 + g_2, ... along the last axis, from a
+    scalar `last` or one per row of `gaps`: add.accumulate sums left to
+    right, so extending from the last epoch gives the floats of one
     cumulative sum over every gap, however the gaps were chunked.  That is
     what lets the decoder reproduce simulator-side idle times bit for bit."""
-    return np.add.accumulate(np.concatenate(([last], gaps)))[1:]
+    last = np.asarray(last, dtype=float)[..., None]
+    return np.add.accumulate(np.concatenate((last, gaps), axis=-1), axis=-1)[..., 1:]
 
 
 def _first_after(epochs, departures) -> np.ndarray:
@@ -143,11 +145,11 @@ class QueueTrace:
             raise ValueError("inter-departures must equal idle + service")
         if not np.array_equal(t, np.cumsum(d)):
             raise ValueError("departure epochs must be the running sum of gaps")
+        # no arrival strictly between two admissions may postdate the
+        # departure that the later admission answers to
         replay = admitted_indices(self.arrival_epochs, t[:-1])
         if len(replay) < len(k) or not np.array_equal(replay[: len(k)], k):
             raise ValueError("admitted indices disagree with the admission rule")
-        # no arrival strictly between two admissions may postdate the
-        # departure that the later admission answers to
         if np.any(self.arrival_epochs < 0):
             raise ValueError("arrival epochs must be nonnegative")
 
@@ -184,7 +186,7 @@ def _service_draws(service, count, rng):
     s = np.asarray(service, dtype=float)
     if s.size < count:
         raise ValueError(f"need {count} explicit service times, got {s.size}")
-    if np.any(s[:count] <= 0):
+    if not np.all(s[:count] > 0):
         raise ValueError("service times must be positive")
     return s[:count]
 
@@ -217,7 +219,7 @@ def simulate(config: SimConfig) -> QueueTrace:
                 raise ArrivalsExhausted(
                     f"arrival sequence ended at epoch {epochs[-1]!r}, "
                     f"none remain after departure epoch {t!r}")
-            if np.any(new <= 0):
+            if not np.all(new > 0):
                 raise ValueError("arrival gaps after the first must be positive")
             epochs.extend(_extend_epochs(epochs[-1], new).tolist())
         m = admitted[i] = bisect.bisect_right(epochs, t, m)

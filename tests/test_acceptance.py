@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.stats import fisher_exact
 
+from oracles import hypoexp_entropy_rewritten
 from timingq import (
     Codebook,
     Deterministic,
@@ -32,7 +33,6 @@ from timingq import (
     empirical_liminf,
     encode,
     hypoexp_entropy,
-    hypoexp_entropy_rewritten,
     idle_path,
     info_density_report,
     maximize_rate,

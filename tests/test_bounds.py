@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import RATE_STAR, RHO_STAR, UNIVERSAL_STAR
+from oracles import g_rho, hypoexp_entropy_rewritten
 from timingq import (
     Deterministic,
     Erlang,
@@ -11,9 +12,7 @@ from timingq import (
     Uniform,
     c_upper,
     cas_bound,
-    g_rho,
     hypoexp_entropy,
-    hypoexp_entropy_rewritten,
     maximize_rate,
     per_service_time,
     rate_R,

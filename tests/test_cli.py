@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +9,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import timingq
 from conftest import RATE_STAR
@@ -45,7 +50,8 @@ def test_parse_service_kinds():
 
 
 def test_parse_service_rejects_garbage():
-    for text in ("gamma:1", "exp", "exp:0", "uniform:2:1", "erlang:1.5:2"):
+    for text in ("gamma:1", "exp", "exp:0", "uniform:2:1", "erlang:1.5:2",
+                 "exp:inf", "det:inf", "uniform:0:inf", "erlang:2:inf"):
         with pytest.raises(ValidationError):
             parse_service(text)
 
@@ -227,6 +233,14 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["bounds", "--mu", "1", "--service", "det:1",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "--service" in capsys.readouterr().err
+    assert main(["decode", "--M", "4", "--lam", "inf", "--mu", "1", "--n", "2",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "--lam" in capsys.readouterr().err
+    for flag, value in (("--target", "inf"), ("--gamma", "nan")):
+        assert main(["infodensity", "--lam", "0.5", "--mu", "1", "--n", "20",
+                     "--trials", "2", flag, value,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert flag in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["decode", "--M", "0", "--lam", "1", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
@@ -273,6 +287,28 @@ def test_optimum_tol_below_float_spacing_terminates(tmp_path):
     assert abs(json.loads(out.read_text())["value"] - RATE_STAR) < 1e-8
 
 
+@pytest.mark.parametrize("fixture", [
+    {"arrival_gaps": [0, 1], "service_times": [2.5, 1.0], "n": 1},
+    {"arrival_gaps": [1, 1, 1], "service_times": [2.5, 1.0], "n": 1},
+    {"arrival_gaps": [0, 1, -1, 1], "service_times": [2.5, 1.0], "n": 1},
+    {"arrival_gaps": 5, "service_times": [2.5, 1.0], "n": 1},
+    {"arrival_gaps": [0, 1, 1, 1], "service_times": [2.5, 1.0], "n": 0},
+    {"arrival_gaps": [0, 1, 1, 1], "service_times": [2.5, 1.0], "n": 5},
+    {"arrival_gaps": [0, math.nan, 1, 1], "service_times": [2.5, 1.0], "n": 1},
+    {"arrival_gaps": [0, 1, 1, 1], "service_times": [2.5, math.nan], "n": 1},
+    {"arrival_gaps": [0, 1, 1, 1], "service_times": [2.5, 1.0], "n": math.inf},
+], ids=["exhausted", "first-gap", "negative-gap", "scalar-gaps", "n-zero",
+        "n-too-large", "nan-gap", "nan-service", "n-inf"])
+def test_simulate_bad_fixture_exits_one(fixture, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fixture))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--fixture", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fixture") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -292,3 +328,112 @@ def test_nonconvergence_exits_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "certify" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+# ------------------------------------------------ property: the CLI contract
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                database=None)
+
+BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e400", "abc", ""]
+
+
+def _argv(command, *slots):
+    """argv for `command`: one argv fragment is drawn from each slot (an
+    empty one adds nothing), then at most one fragment is dropped or has its
+    value replaced by a malformed or non-finite number.
+
+    Numbers that are valid stay near 1: a large rate ratio or service time
+    asks the simulator and the decoder for that many more arrivals.
+    """
+    drawn = st.tuples(*(st.sampled_from(slot) for slot in slots))
+    spoil = st.one_of(st.none(), st.tuples(
+        st.integers(0, len(slots) - 1), st.sampled_from([None] + BAD_NUMBERS)))
+
+    def build(args):
+        fragments, spoiled = list(args[0]), args[1]
+        if spoiled is not None:
+            i, bad = spoiled
+            fragments[i] = [] if bad is None else fragments[i][:1] + [bad]
+        return [command] + [part for fragment in fragments for part in fragment]
+
+    return st.tuples(drawn, spoil).map(build)
+
+
+def _option(name, *values):
+    return [[f"--{name}", value] for value in values]
+
+
+LAWS = (_option("mu", "1", "2")
+        + _option("service", "erlang:2:2", "uniform:0:2", "det:1", "exp:inf",
+                  "uniform:0:inf", "gamma:1"))
+BOUNDS = _argv("bounds", _option("mu", "1"),
+               _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3"),
+               [[]] + _option("service", "erlang:2:2", "uniform:0:2", "det:1",
+                              "exp:2", "uniform:0:inf"),
+               [[], ["--log"]], [[], ["--no-cas"]])
+OPTIMUM = _argv("optimum", _option("mu", "1", "2"),
+                _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3"),
+                [[]] + _option("tol", "1e-3", "1e-300"))
+SIMULATE = _argv("simulate", _option("lam", "0.5", "2"),
+                 _option("n", "1", "5", "0"), LAWS,
+                 [[], [], ["--fixture", "no/such/fixture.json"]])
+INFODENSITY = _argv("infodensity", _option("lam", "0.5", "2"),
+                    _option("n", "20", "20,40", "40,20"), LAWS,
+                    [[]] + _option("trials", "2"),
+                    [[]] + _option("target", "0.1"),
+                    [[]] + _option("gamma", "0.01"),
+                    [[]] + _option("format", "csv", "json", "xml"))
+DECODE = _argv("decode", _option("M", "4", "2,3"), _option("n", "2", "2,5"),
+               _option("lam", "0.5", "2"), _option("mu", "1", "2"),
+               [[]] + _option("trials", "3"))
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([0, 1, 2, 5, -1, 10**30, 1.5, math.nan, math.inf]),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0, math.nan, math.inf]),
+             max_size=6),
+    st.lists(st.lists(st.just(1.0), max_size=2), max_size=3))
+FIXTURE_TEXTS = st.one_of(
+    st.fixed_dictionaries({}, optional={"arrival_gaps": JSON_VALUES,
+                                        "service_times": JSON_VALUES,
+                                        "n": JSON_VALUES}).map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", '"x"', "[0, 1]"]))
+
+
+def _run(argv):
+    """Run the CLI in process; hold it to exit 0, 1 or 2 and, on failure,
+    to one "error:" line on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    return rc, out.getvalue()
+
+
+@FUZZ
+@given(st.one_of(BOUNDS, OPTIMUM, SIMULATE, INFODENSITY, DECODE))
+def test_cli_exits_cleanly_on_any_argv(argv):
+    _run(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixture(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fixture.json"
+
+
+@FUZZ
+@given(text=FIXTURE_TEXTS)
+def test_simulate_exits_cleanly_on_any_fixture(fuzz_fixture, text):
+    fuzz_fixture.write_text(text)
+    _run(["simulate", "--fixture", str(fuzz_fixture)])
+
+
+@FUZZ
+@given(st.one_of(INFODENSITY, DECODE))
+def test_threads_leave_stdout_alone(argv):
+    assert _run(argv + ["--threads", "1"]) == _run(argv + ["--threads", "2"])

@@ -7,6 +7,7 @@ import pytest
 from timingq import (
     Codebook,
     DecodeFailure,
+    Erlang,
     Exponential,
     SimConfig,
     Uniform,
@@ -16,6 +17,7 @@ from timingq import (
     reconstruct_idle,
     simulate,
 )
+from timingq.queue_sim import _extend_epochs
 
 
 def take(stream, count):
@@ -61,11 +63,53 @@ def test_epoch_prefix_stable_under_lazy_extension():
     assert np.array_equal(long[: short.size], short)
 
 
+LAWS = [Exponential(1.0), Erlang(2, 2.0), Uniform(0.5, 1.5)]
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_epoch_matrix_rows_accumulate_the_encoded_gaps(law):
+    # the decoder's matrix against the sender's stream, built independently:
+    # each row must be the accumulate of what `encode` yields, bit for bit,
+    # on both sides of the 65 / 129 / 257 column extensions
+    book = Codebook(M=3, seed=17, inter_arrival=law)
+    for beyond, width in ((10.0, 65), (100.0, 129), (200.0, 257), (400.0, 513)):
+        mat = book.epoch_matrix(beyond)
+        assert mat.shape == (3, width)
+        assert np.all(mat[:, -1] > beyond)
+        for u in (1, 2, 3):
+            sent = np.array(take(encode(book, u), width))
+            assert np.array_equal(mat[u - 1], _extend_epochs(0.0, sent))
+            assert np.array_equal(book.epochs(u, beyond), mat[u - 1])
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_stepwise_extension_matches_one_call(law):
+    stepwise = Codebook(M=4, seed=3, inter_arrival=law)
+    for beyond in (5.0, 70.0, 300.0):
+        stepwise.epoch_matrix(beyond)
+    once = Codebook(M=4, seed=3, inter_arrival=law).epoch_matrix(300.0)
+    assert np.array_equal(stepwise.epoch_matrix(300.0), once)
+
+
+def test_explicit_epoch_matrix_is_padded_cumsum():
+    words = [[0.0, 1.0, 0.5, 2.0], [0.0, 3.0], [0.0]]
+    book = Codebook.from_sequences(words)
+    mat = book.epoch_matrix(1e9)
+    assert mat.shape == (3, 4)
+    for u, word in enumerate(words, 1):
+        row = np.full(4, np.inf)
+        row[: len(word)] = np.cumsum(word)
+        assert np.array_equal(mat[u - 1], row)
+        assert np.array_equal(book.epochs(u, 0.0), np.cumsum(word))
+
+
 def test_explicit_codebook_validation():
     with pytest.raises(ValueError):
         Codebook.from_sequences([[1.0, 1.0]])  # must start at 0
     with pytest.raises(ValueError):
         Codebook.from_sequences([[0.0, 1.0, -0.5]])
+    with pytest.raises(ValueError):
+        Codebook.from_sequences([[0.0, 1.0, float("nan")]])
     with pytest.raises(ValueError):
         Codebook(M=0, seed=1, inter_arrival=Exponential(1.0))
 

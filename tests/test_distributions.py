@@ -260,6 +260,12 @@ def test_constructors_reject_bad_parameters():
         NumericalConvolution(0.0, Exponential(1.0))
     with pytest.raises(ValueError):
         PoissonProcess(-2.0)
+    # an infinite rate or scale makes every gap 0 or inf, which the
+    # simulator and the codebook would extend forever
+    for make in (Exponential, Deterministic, lambda v: Erlang(2, v),
+                 lambda v: Uniform(0.0, v), PoissonProcess):
+        with pytest.raises(ValueError):
+            make(math.inf)
 
 
 def test_quadrature_error_carries_achieved_estimate():
