@@ -47,12 +47,6 @@ class TrialFailure(RuntimeError):
     """A sampled point landed where a density vanishes (measure zero)."""
 
 
-def departure_model(lam: float, service):
-    """True inter-departure law under Poisson(lam) arrivals.  Its density is
-    exact for every service law the CLI accepts (see NumericalConvolution)."""
-    return NumericalConvolution(lam, service)
-
-
 def info_density_trial(lam: float, service, n: int, rng: np.random.Generator) -> float:
     """One normalized information-density sample from n renewal cycles.
 
@@ -66,7 +60,7 @@ def info_density_trial(lam: float, service, n: int, rng: np.random.Generator) ->
         raise ValueError(f"arrival rate must be positive, got {lam}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    dep = departure_model(lam, service)
+    dep = NumericalConvolution(lam, service)
     idles = rng.exponential(1.0 / lam, size=n)
     services = np.asarray(service.sample(rng, size=n), dtype=float)
 

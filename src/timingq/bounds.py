@@ -182,7 +182,7 @@ def sweep(rho_grid, mu: float, service=None, include_cas: bool = True) -> BoundC
     """Tabulate normalized rate and converse curves over rho = lam/mu.
 
     `service` defaults to exponential with rate mu.  The cas column is the
-    slowest (numerical convolution per grid point) and can be skipped, in
+    slowest (an entropy quadrature per grid point) and can be skipped, in
     which case it is filled with NaN.
     """
     rho = np.asarray(rho_grid, dtype=float)
@@ -259,8 +259,9 @@ def maximize_rate(mu: float, bracket: tuple[float, float] = (0.01, 2.0),
     unimodality is assumed), then golden-section refines to `tol` in rho.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not (0 < lo < hi and hi * mu < math.inf):
+        raise ValueError(
+            f"bracket must satisfy 0 < lo < hi and hi * mu < inf, got {bracket}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not 0 < tol < math.inf:

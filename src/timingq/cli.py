@@ -89,8 +89,11 @@ def parse_int_list(text: str, field: str) -> list[int]:
 
 
 def _require_positive(value: float, field: str) -> float:
-    if value is None or not 0 < value < math.inf:
-        raise ValidationError(f"{field}: must be positive and finite, got {value}")
+    # a rate whose reciprocal overflows makes every mean duration infinite
+    if value is None or not 0 < value < math.inf or not math.isfinite(1.0 / value):
+        raise ValidationError(
+            f"{field}: must be positive and finite with a finite reciprocal, "
+            f"got {value}")
     return value
 
 
@@ -187,6 +190,9 @@ def _config_dict(args, skip=("out", "threads")) -> dict:
 def _cmd_bounds(args) -> str:
     _require_positive(args.mu, "--mu")
     grid = parse_grid(args.rho, args.log)
+    if not math.isfinite(float(grid[-1]) * args.mu):
+        raise ValidationError(
+            f"--rho: the arrival rate rho * mu overflows at rho = {float(grid[-1])!r}")
     service = parse_service(args.service) if args.service else None
     if isinstance(service, Deterministic):
         raise ValidationError(

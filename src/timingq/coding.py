@@ -26,7 +26,7 @@ from .distributions import _inter_arrival_law
 from .queue_sim import _extend_epochs, _first_after
 
 __all__ = ["Codebook", "DecodeResult", "DecodeFailure",
-           "encode", "reconstruct_idle", "ml_decode"]
+           "encode", "idle_path", "reconstruct_idle", "ml_decode"]
 
 
 class DecodeFailure(RuntimeError):

@@ -4,12 +4,11 @@ Service distributions expose sampling, exact log-densities, means, and
 closed-form differential entropies.  Inter-departure models describe
 D = W + S, the sum of an exponential idle period and a service duration.
 With exponential service D is the two-rate sum law, whose density and
-entropy are closed forms.  For every service law the CLI accepts
-(exponential, point mass, uniform, Erlang) `NumericalConvolution` also
-evaluates the density of D exactly; any other law goes through a
-Gauss-Legendre convolution.  The entropy of D for a non-exponential
-service is a composite quadrature with certified error, the one place in
-this module that can raise QuadratureError.
+entropy are closed forms.  For every service law here (exponential,
+point mass, uniform, Erlang) `NumericalConvolution` evaluates the density
+of D exactly, and it rejects any other law.  The entropy of D for a
+non-exponential service is a composite quadrature with certified error,
+the one place in this module that can raise QuadratureError.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -23,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaincinv, gammaln, hyp1f1, logsumexp, psi
+from scipy.special import gammaincinv, gammaln, hyp1f1, psi
 
 __all__ = [
     "QuadratureError",
@@ -127,9 +126,6 @@ class Exponential:
         q, scalar = _as_float_array(q)
         return _maybe_scalar(-np.log1p(-q) / self.rate, scalar)
 
-    def quantile(self, q: float) -> float:
-        return float(self.ppf(q))
-
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -164,9 +160,6 @@ class Deterministic:
     def ppf(self, q):
         q, scalar = _as_float_array(q)
         return _maybe_scalar(np.full_like(q, self.value), scalar)
-
-    def quantile(self, q: float) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -214,9 +207,6 @@ class Erlang:
         q, scalar = _as_float_array(q)
         return _maybe_scalar(gammaincinv(self.shape, q) / self.rate, scalar)
 
-    def quantile(self, q: float) -> float:
-        return float(self.ppf(q))
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -253,9 +243,6 @@ class Uniform:
     def ppf(self, q):
         q, scalar = _as_float_array(q)
         return _maybe_scalar(self.lo + q * (self.hi - self.lo), scalar)
-
-    def quantile(self, q: float) -> float:
-        return float(self.ppf(q))
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +304,10 @@ class Hypoexponential:
     mu: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def _rates(self) -> tuple[float, float]:
         return min(self.lam, self.mu), max(self.lam, self.mu)
@@ -351,27 +338,6 @@ class Hypoexponential:
             out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
                         - a * dp + np.log(-np.expm1(-(b - a) * dp)))
         return _maybe_scalar(out, scalar)
-
-    def sf(self, d):
-        d, scalar = _as_float_array(d)
-        a, b = self._rates()
-        if self._equal_rates():
-            r = 0.5 * (a + b)
-            out = np.exp(-r * d) * (1.0 + r * d)
-        else:
-            out = (b * np.exp(-a * d) - a * np.exp(-b * d)) / (b - a)
-        return _maybe_scalar(np.where(d <= 0, 1.0, out), scalar)
-
-    def quantile(self, q: float) -> float:
-        if not 0 < q < 1:
-            raise ValueError("quantile level must be in (0, 1)")
-        from scipy import optimize
-
-        hi = 1.0
-        while self.sf(hi) > 1.0 - q:
-            hi *= 2.0
-        return optimize.brentq(lambda d: self.sf(d) - (1.0 - q), 0.0, hi,
-                               xtol=1e-12, rtol=8.9e-16)
 
     def entropy(self) -> float:
         return hypoexp_entropy(self.lam, self.mu)
@@ -452,18 +418,17 @@ class NumericalConvolution:
     """Density of D = W + S for W ~ Exp(lam) independent of service S.
 
     The density is exact for the exponential, point-mass, uniform and
-    Erlang services.  For any other law it is f_D(d) = integral of
-    lam e^(-lam w) f_S(d - w) over the window where both factors live,
-    evaluated with fixed-order Gauss-Legendre quadrature in log space.  The
-    entropy is a certified composite quadrature of the density, except for
-    a point mass, whose sum is a shifted exponential with exact entropy.
+    Erlang services, and any other law raises ValueError.  The entropy is
+    a certified composite quadrature of the density, except for a point
+    mass, whose sum is a shifted exponential with exact entropy.
     """
 
-    _GL_ORDER = 256
-
     def __init__(self, lam: float, service):
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if type(service) not in _EXACT_SUM_LOG_PDF:
+            raise ValueError(
+                f"no exact W + S density for service {type(service).__name__}")
         self.lam = float(lam)
         self.service = service
 
@@ -473,49 +438,16 @@ class NumericalConvolution:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(1.0 / self.lam, size=size) + self.service.sample(rng, size=size)
 
-    def log_pdf(self, d, _chunk=20_000):
+    def log_pdf(self, d):
         d, scalar = _as_float_array(d)
-        exact = _EXACT_SUM_LOG_PDF.get(type(self.service))
-        if exact is not None:
-            return _maybe_scalar(exact(self.lam, self.service, d), scalar)
-        flat = np.atleast_1d(d).ravel()
-        out = np.empty(flat.shape)
-        for start in range(0, flat.size, _chunk):
-            out[start:start + _chunk] = self._log_pdf_block(flat[start:start + _chunk])
-        out = out.reshape(np.atleast_1d(d).shape)
-        return _maybe_scalar(out, scalar)
-
-    def _log_pdf_block(self, d):
-        s_lo, s_hi = self.service.support()
-        lo = np.maximum(0.0, d - s_hi) if math.isfinite(s_hi) else np.zeros_like(d)
-        hi = np.minimum(d - s_lo, d)
-        # tighten the window where either factor is negligible, else the
-        # fixed-order rule can straddle a huge span and miss the narrow
-        # service peak (relative truncation error ~1e-14, below rule error)
-        span = s_hi if math.isfinite(s_hi) else self.service.quantile(1.0 - 1e-14)
-        tight_lo = np.maximum(lo, d - span)
-        tight_hi = np.minimum(hi, 700.0 / self.lam)
-        keep = tight_hi > tight_lo
-        lo = np.where(keep, tight_lo, lo)
-        hi = np.where(keep, tight_hi, hi)
-        out = np.full(d.shape, -np.inf)
-        good = hi > lo
-        if not good.any():
-            return out
-        nodes, weights = _gl_rule(self._GL_ORDER)
-        mid = 0.5 * (lo[good] + hi[good])
-        half = 0.5 * (hi[good] - lo[good])
-        w = mid[:, None] + half[:, None] * nodes[None, :]
-        log_terms = (math.log(self.lam) - self.lam * w
-                     + self.service.log_pdf(d[good][:, None] - w))
-        out[good] = logsumexp(log_terms, b=weights[None, :] * half[:, None], axis=1)
-        return out
+        exact = _EXACT_SUM_LOG_PDF[type(self.service)]
+        return _maybe_scalar(exact(self.lam, self.service, d), scalar)
 
     def quantile_bound(self, q: float) -> float:
         """An upper bound for the q-quantile of D (union bound on W and S)."""
         split = 1.0 - 0.5 * (1.0 - q)
         w_tail = -math.log1p(-split) / self.lam
-        return w_tail + self.service.quantile(split)
+        return w_tail + float(self.service.ppf(split))
 
     def entropy(self, abs_tol: float = ENTROPY_ABS_TOL) -> float:
         """Differential entropy of D by composite Gauss-Legendre panels.
@@ -535,7 +467,9 @@ class NumericalConvolution:
                 knots.add(k)
         edges = np.unique(np.concatenate([
             np.array(sorted(knots)),
-            np.geomspace(upper * 1e-8, upper, 48),
+            # graded from the support start, where D's density has its
+            # x log x edge
+            s_lo + np.geomspace((upper - s_lo) * 1e-8, upper - s_lo, 48),
         ]))
         edges = edges[edges <= upper]
 

@@ -1,17 +1,29 @@
-"""Quadrature oracles for the two-rate sum entropy.
+"""Quadrature oracles the library's closed forms and exact densities are
+checked against.
 
 `hypoexp_entropy_rewritten` reaches the entropy of Exp(lam) + Exp(mu)
 through a shape integral `g_rho` instead of the library's closed form, so
 the tests can cross-check `timingq.hypoexp_entropy` against an independent
-route.  Neither function serves the library itself.
+route.  `gl_sum_log_pdf` evaluates the density of D = W + S by a
+Gauss-Legendre convolution, the oracle for the exact per-law densities of
+`NumericalConvolution`.  `two_rate_sf` and `two_rate_quantile` give the
+survival function and quantiles of the two-rate sum law, for the
+integration limits of the entropy oracles.  None of them serves the
+library itself.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
+from scipy import integrate, optimize
+from scipy.special import logsumexp
 
 from timingq import QuadratureError
+from timingq.distributions import _as_float_array, _maybe_scalar
+
+# Order of the fixed Gauss-Legendre rule of `gl_sum_log_pdf`.
+GL_ORDER = 256
 
 
 def g_rho(rho: float, abs_tol: float = 1e-8) -> float:
@@ -68,3 +80,63 @@ def hypoexp_entropy_rewritten(lam: float, mu: float) -> float:
         raise ValueError("rho = 1 is handled by the equal-rates entropy path")
     return (-math.log(mu) + 1.0 + 1.0 / rho - math.log(rho / abs(1.0 - rho))
             + rho / (1.0 - rho) ** 2 * g_rho(rho))
+
+
+def gl_sum_log_pdf(lam: float, service, d):
+    """Log-density of D = W + S, W ~ Exp(lam), for a float array d.
+
+    f_D(d) = integral of lam e^(-lam w) f_S(d - w) over the window where
+    both factors live, evaluated with fixed-order Gauss-Legendre quadrature
+    in log space.  The window drops the service mass beyond its
+    1 - 1e-14 quantile and the idle mass beyond 700/lam, so this is an
+    oracle only where the dropped mass is small relative to f_D(d).
+    """
+    s_lo, s_hi = service.support()
+    lo = np.maximum(0.0, d - s_hi) if math.isfinite(s_hi) else np.zeros_like(d)
+    hi = np.minimum(d - s_lo, d)
+    # tighten the window where either factor is negligible, else the
+    # fixed-order rule can straddle a huge span and miss the narrow
+    # service peak (relative truncation error ~1e-14, below rule error)
+    span = s_hi if math.isfinite(s_hi) else float(service.ppf(1.0 - 1e-14))
+    tight_lo = np.maximum(lo, d - span)
+    tight_hi = np.minimum(hi, 700.0 / lam)
+    keep = tight_hi > tight_lo
+    lo = np.where(keep, tight_lo, lo)
+    hi = np.where(keep, tight_hi, hi)
+    out = np.full(d.shape, -np.inf)
+    good = hi > lo
+    if not good.any():
+        return out
+    nodes, weights = leggauss(GL_ORDER)
+    mid = 0.5 * (lo[good] + hi[good])
+    half = 0.5 * (hi[good] - lo[good])
+    w = mid[:, None] + half[:, None] * nodes[None, :]
+    log_terms = (math.log(lam) - lam * w
+                 + service.log_pdf(d[good][:, None] - w))
+    out[good] = logsumexp(log_terms, b=weights[None, :] * half[:, None], axis=1)
+    return out
+
+
+def two_rate_sf(model, d):
+    """Survival function P[D > d] of the two-rate sum law `model`, a
+    `timingq.Hypoexponential`."""
+    d, scalar = _as_float_array(d)
+    a, b = model._rates()
+    if model._equal_rates():
+        r = 0.5 * (a + b)
+        out = np.exp(-r * d) * (1.0 + r * d)
+    else:
+        out = (b * np.exp(-a * d) - a * np.exp(-b * d)) / (b - a)
+    return _maybe_scalar(np.where(d <= 0, 1.0, out), scalar)
+
+
+def two_rate_quantile(model, q: float) -> float:
+    """The q-quantile of the two-rate sum law `model`, by bracketing and
+    Brent's method on `two_rate_sf`."""
+    if not 0 < q < 1:
+        raise ValueError("quantile level must be in (0, 1)")
+    hi = 1.0
+    while two_rate_sf(model, hi) > 1.0 - q:
+        hi *= 2.0
+    return optimize.brentq(lambda d: two_rate_sf(model, d) - (1.0 - q), 0.0, hi,
+                           xtol=1e-12, rtol=8.9e-16)

@@ -9,8 +9,6 @@ from timingq import (
     Deterministic,
     Erlang,
     Exponential,
-    Hypoexponential,
-    NumericalConvolution,
     decode_rate_experiment,
     empirical_liminf,
     expected_decode_time,
@@ -18,7 +16,7 @@ from timingq import (
     info_density_trial,
     rate_R,
 )
-from timingq.achievability import departure_model, liminf_csv
+from timingq.achievability import liminf_csv
 
 LAM = RHO_STAR
 RATE = rate_R(LAM, 1.0)
@@ -31,16 +29,6 @@ def significantly_greater(errors_a, errors_b, trials):
 
 
 # ------------------------------------------------------- information density
-
-def test_departure_model_selection():
-    # one model for every service law; it takes the exact two-rate sum
-    # density for exponential service
-    assert isinstance(departure_model(0.5, Erlang(2, 2.0)), NumericalConvolution)
-    dep = departure_model(0.5, Exponential(1.0))
-    assert isinstance(dep, NumericalConvolution)
-    d = np.linspace(0.01, 30.0, 200)
-    assert np.array_equal(dep.log_pdf(d), Hypoexponential(0.5, 1.0).log_pdf(d))
-
 
 def test_single_trial_tracks_rate_at_large_n():
     rng = np.random.default_rng(404)

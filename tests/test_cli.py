@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -147,6 +149,36 @@ def test_analytic_run_loads_no_heavy_scipy_modules(tmp_path):
     assert result == {"rc": 0, "loaded": {"import": [], "main": []}}
 
 
+def test_src_imports_no_cross_check_scipy():
+    # scipy.optimize, scipy.integrate, scipy.stats and logsumexp serve only
+    # the oracles in tests/; the library must not import them, lazily or not
+    forbidden = ("scipy.optimize", "scipy.integrate", "scipy.stats")
+    package = os.path.dirname(os.path.abspath(timingq.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported = [module] + [f"{module}.{alias.name}"
+                                       for alias in node.names]
+            else:
+                continue
+            for dotted in imported:
+                assert not dotted.startswith(forbidden), (name, dotted)
+                assert dotted.split(".")[-1] != "logsumexp", (name, dotted)
+
+
+def test_package_exports_match_module_exports():
+    for name in timingq.__all__:
+        module = importlib.import_module(getattr(timingq, name).__module__)
+        assert name in module.__all__, (name, module.__name__)
+
+
 def test_optimum_json(tmp_path):
     out = tmp_path / "opt.json"
     rc = main(["optimum", "--mu", "1", "--bracket", "0.3:0.7",
@@ -233,6 +265,17 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["bounds", "--mu", "1", "--service", "det:1",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "--service" in capsys.readouterr().err
+    # rho * mu overflows to an infinite arrival rate at the top of the grid
+    assert main(["bounds", "--mu", "1e200", "--rho", "1:1e200:2",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--rho" in capsys.readouterr().err
+    assert main(["optimum", "--mu", "1e308",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "--bracket" in capsys.readouterr().err
+    # 1/mu overflows, so every mean service time is infinite
+    assert main(["infodensity", "--lam", "1", "--mu", "1e-320", "--n", "10",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--mu" in capsys.readouterr().err
     assert main(["decode", "--M", "4", "--lam", "inf", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "--lam" in capsys.readouterr().err
@@ -252,6 +295,15 @@ def test_bounds_at_extreme_load_exits_zero(tmp_path):
                  "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
     assert all(float(r[1]) >= 0.0 for r in rows)
+
+
+def test_bounds_uniform_service_with_positive_lo_exits_zero(tmp_path):
+    # the cas entropy must converge on the whole default grid when the
+    # service support starts away from 0
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--mu", "1", "--service", "uniform:0.5:1.5",
+                 "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 202  # config + header + 200 rows
 
 
 def test_bounds_rejects_service_mean_other_than_one_over_mu(tmp_path, capsys):

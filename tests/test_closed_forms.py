@@ -4,8 +4,8 @@ The library evaluates the two-rate sum entropy, the Erlang entropy and the
 inter-departure densities of the shipped service laws in closed form.  The
 oracles here are the quadratures those closed forms replaced: the certified
 adaptive quadrature of -f log f (kept only in this file), the composite
-Gauss-Legendre entropy of `NumericalConvolution`, its Gauss-Legendre
-convolution `_log_pdf_block`, and scipy.stats.
+Gauss-Legendre entropy of `NumericalConvolution`, the Gauss-Legendre
+convolution `oracles.gl_sum_log_pdf`, and scipy.stats.
 """
 
 import math
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from oracles import gl_sum_log_pdf, two_rate_quantile
 from timingq import (
     Erlang,
     Exponential,
@@ -62,7 +63,7 @@ def quadrature_two_rate_entropy(lam, mu):
     1 - 1e-12 quantile, the discarded tail bounded by an envelope."""
     model = Hypoexponential(lam, mu)
     a, b = model._rates()
-    upper = model.quantile(1.0 - TAIL_MASS)
+    upper = two_rate_quantile(model, 1.0 - TAIL_MASS)
     tail = TAIL_MASS * (abs(float(model.log_pdf(upper))) + 2.0)
     # breakpoints resolve the fast scale 1/b when the rates are far apart
     points = (0.5 / b, 2.0 / b, 10.0 / b, 30.0 / b, 1.0 / a, 5.0 / a)
@@ -72,7 +73,7 @@ def quadrature_two_rate_entropy(lam, mu):
 
 
 def quadrature_erlang_entropy(model):
-    upper = model.quantile(1.0 - TAIL_MASS)
+    upper = float(model.ppf(1.0 - TAIL_MASS))
     mode = max((model.shape - 1) / model.rate, 1e-12)
     value, _ = _entropy_quad(model.log_pdf, upper, points=(mode, 5.0 * mode),
                              tail_estimate=TAIL_MASS * (model.rate * upper + 40.0))
@@ -115,13 +116,12 @@ def _fallback_window_top(lam, service):
     # 1 - 1e-14 quantile and the idle mass beyond 700/lam.  Past those
     # points the dropped mass is no longer small relative to f_D(d), so the
     # fallback is only an oracle below them.
-    return min(service.quantile(1.0 - 1e-14), 700.0 / lam)
+    return min(float(service.ppf(1.0 - 1e-14)), 700.0 / lam)
 
 
 def _assert_exact_matches_fallback(lam, service, d):
-    conv = NumericalConvolution(lam, service)
-    exact = conv.log_pdf(d)
-    fallback = conv._log_pdf_block(d)
+    exact = NumericalConvolution(lam, service).log_pdf(d)
+    fallback = gl_sum_log_pdf(lam, service, d)
     assert np.all(np.isfinite(exact))
     assert np.max(np.abs(exact - fallback)) <= 1e-10
 
@@ -203,6 +203,22 @@ def test_exact_density_scalar_in_scalar_out():
     value = conv.log_pdf(1.3)
     assert isinstance(value, float)
     assert value == conv.log_pdf(np.array([1.3]))[0]
+
+
+# --------------------------------------------------------- uniform entropy
+
+@pytest.mark.parametrize("service", [Uniform(0.5, 1.5), Uniform(0.9, 1.1),
+                                     Uniform(5.0, 5.001)], ids=str)
+def test_uniform_sum_entropy_with_positive_lo_matches_quadrature(service):
+    # D's support starts at lo > 0, where -f log f has an x log x edge that
+    # the panels must resolve at every load
+    for rho in np.geomspace(0.01, 100.0, 9):
+        conv = NumericalConvolution(rho / service.mean(), service)
+        upper = conv.quantile_bound(1.0 - TAIL_MASS)
+        tail = TAIL_MASS * (abs(float(conv.log_pdf(upper))) + 2.0)
+        ref, _ = _entropy_quad(conv.log_pdf, upper,
+                               points=(service.lo, service.hi), tail_estimate=tail)
+        assert abs(conv.entropy() - ref) <= ENTROPY_ABS_TOL
 
 
 # ------------------------------------------------------------------ Erlang

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import gl_sum_log_pdf, two_rate_quantile, two_rate_sf
 from timingq import (
     Deterministic,
     Erlang,
@@ -173,14 +174,13 @@ def test_entropy_objects_agree_with_module_function():
 
 def test_convolution_matches_two_rate_closed_form():
     # exponential service makes the numerical convolution redundant, which is
-    # exactly why it is the strongest check available for it; log_pdf takes
-    # the exact form for this law, so the Gauss-Legendre block is called
-    # directly
+    # exactly why it is the strongest check available for the Gauss-Legendre
+    # oracle
     d = np.linspace(0.05, 25.0, 300)
     for lam in (1e-3, 0.08, 0.456, 2.0, 50.0):
         conv = NumericalConvolution(lam, Exponential(1.0))
         ref = Hypoexponential(lam, 1.0).log_pdf(d)
-        assert np.max(np.abs(conv._log_pdf_block(d) - ref)) < 1e-10
+        assert np.max(np.abs(gl_sum_log_pdf(lam, Exponential(1.0), d) - ref)) < 1e-10
         assert np.max(np.abs(conv.log_pdf(d) - ref)) < 1e-10
 
 
@@ -189,7 +189,7 @@ def test_convolution_uniform_service_closed_form():
     conv = NumericalConvolution(lam, Uniform(0.0, 2.0))
     d = np.linspace(0.05, 12.0, 160)
     ref = np.log(0.5 * (np.exp(-lam * np.maximum(d - 2.0, 0.0)) - np.exp(-lam * d)))
-    assert np.max(np.abs(conv._log_pdf_block(d) - ref)) < 1e-12
+    assert np.max(np.abs(gl_sum_log_pdf(lam, Uniform(0.0, 2.0), d) - ref)) < 1e-12
     assert np.max(np.abs(conv.log_pdf(d) - ref)) < 1e-12
 
 
@@ -201,6 +201,16 @@ def test_convolution_point_mass_service_is_shifted_exponential():
                        math.log(lam) - lam * (d - c), rtol=0, atol=1e-14)
     assert conv.log_pdf(1.0) == -math.inf
     assert conv.entropy() == pytest.approx(1.0 - math.log(lam), abs=1e-12)
+
+
+def test_convolution_takes_only_exact_laws():
+    # the exponential law takes the two-rate sum density itself
+    d = np.linspace(0.01, 30.0, 200)
+    assert np.array_equal(NumericalConvolution(0.5, Exponential(1.0)).log_pdf(d),
+                          Hypoexponential(0.5, 1.0).log_pdf(d))
+    # a law without an exact W + S density is refused by name
+    with pytest.raises(ValueError, match="Hypoexponential"):
+        NumericalConvolution(1.0, Hypoexponential(1.0, 2.0))
 
 
 def test_convolution_density_zero_at_origin():
@@ -226,7 +236,7 @@ def test_densities_integrate_to_one():
         if hasattr(m, "quantile_bound"):
             hi = m.quantile_bound(1.0 - 1e-13)
         else:
-            hi = m.quantile(1.0 - 1e-13)
+            hi = two_rate_quantile(m, 1.0 - 1e-13)
         total, _ = integrate.quad(lambda x: math.exp(m.log_pdf(x)), 0.0, hi, limit=200)
         assert abs(total - 1.0) < 1e-6
 
@@ -234,7 +244,8 @@ def test_densities_integrate_to_one():
 def test_quantile_inverts_survival():
     d = Hypoexponential(0.5, 1.0)
     for q in (0.1, 0.5, 0.9, 0.999):
-        assert d.sf(d.quantile(q)) == pytest.approx(1.0 - q, abs=1e-10)
+        assert two_rate_sf(d, two_rate_quantile(d, q)) == pytest.approx(
+            1.0 - q, abs=1e-10)
 
 
 # ---------------------------------------------------------------- validation
@@ -258,6 +269,13 @@ def test_constructors_reject_bad_parameters():
         Hypoexponential(0.0, 1.0)
     with pytest.raises(ValueError):
         NumericalConvolution(0.0, Exponential(1.0))
+    # a non-finite rate made hypoexp_entropy nan and cas_bound negative
+    for rate in (math.inf, math.nan):
+        for make in (lambda v: Hypoexponential(v, 1.0),
+                     lambda v: Hypoexponential(1.0, v),
+                     lambda v: NumericalConvolution(v, Exponential(1.0))):
+            with pytest.raises(ValueError):
+                make(rate)
     with pytest.raises(ValueError):
         PoissonProcess(-2.0)
     # an infinite rate or scale makes every gap 0 or inf, which the
