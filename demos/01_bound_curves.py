@@ -2,10 +2,14 @@
 
 Sweeps the arrival-to-service ratio, tabulates the achievable rate against
 the two converse bounds, and refines the peak. Writes the curve to
-bound_curves.csv in the current directory and prints the headline numbers.
+bound_curves.csv under $TIMINGQ_OUTDIR when that is set (as the CLI does
+with relative --out paths), else in the current directory, and prints the
+headline numbers.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -14,14 +18,15 @@ from timingq import Exponential, maximize_rate, per_service_time, sweep, univers
 grid = np.linspace(0.05, 10.0, 120)
 curve = sweep(grid, mu=1.0, include_cas=False)
 
-with open("bound_curves.csv", "w") as fh:
-    fh.write(curve.to_csv({"mu": 1.0, "grid": "0.05:10:120"}))
+out = Path(os.environ.get("TIMINGQ_OUTDIR") or ".") / "bound_curves.csv"
+out.parent.mkdir(parents=True, exist_ok=True)
+out.write_text(curve.to_csv({"mu": 1.0, "grid": "0.05:10:120"}))
 
 peak = maximize_rate(1.0)
 svc = Exponential(1.0)
 universal = per_service_time(universal_bound(svc), svc)
 
-print("normalized rate curve written to bound_curves.csv")
+print(f"normalized rate curve written to {out}")
 print(f"peak rate   : {peak.value:.4f} nats per mean service time "
       f"at rho = {peak.rho_star:.4f}")
 print(f"universal   : {universal:.4f} (= 1/e, independent of the arrival rate)")

@@ -74,6 +74,17 @@ def _maybe_scalar(out, scalar):
     return float(np.asarray(out).item())
 
 
+def _require_finite_mean(law) -> None:
+    # an infinite mean service time never ends: the simulator would wait
+    # forever for an infinite departure epoch, and 1/mean is a zero rate
+    try:
+        mean = law.mean()
+    except OverflowError:  # an Erlang shape too large for a float
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ValueError(f"the mean of {law!r} overflows")
+
+
 @lru_cache(maxsize=8)
 def _gl_rule(order: int):
     nodes, weights = leggauss(order)
@@ -103,6 +114,7 @@ class Exponential:
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -174,6 +186,7 @@ class Erlang:
             raise ValueError(f"shape must be a positive integer, got {self.shape}")
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -221,6 +234,7 @@ class Uniform:
         if not self.lo < self.hi < math.inf:
             raise ValueError(
                 f"hi must exceed lo and be finite, got [{self.lo}, {self.hi}]")
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)

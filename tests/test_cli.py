@@ -53,7 +53,10 @@ def test_parse_service_kinds():
 
 def test_parse_service_rejects_garbage():
     for text in ("gamma:1", "exp", "exp:0", "uniform:2:1", "erlang:1.5:2",
-                 "exp:inf", "det:inf", "uniform:0:inf", "erlang:2:inf"):
+                 "exp:inf", "det:inf", "uniform:0:inf", "erlang:2:inf",
+                 # finite parameters whose mean overflows
+                 "exp:1e-320", "erlang:2:1e-320", "uniform:1e308:1.7e308",
+                 f"erlang:{10**400}:1"):
         with pytest.raises(ValidationError):
             parse_service(text)
 
@@ -127,6 +130,16 @@ def test_bounds_includes_convolution_column(tmp_path):
         assert abs(float(r[3]) - float(r[1])) < 1e-9
 
 
+def _fresh_interpreter(args) -> bytes:
+    """Run python with `args` and src/ on the path; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(timingq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_analytic_run_loads_no_heavy_scipy_modules(tmp_path):
     # the shipped laws need only scipy.special; importing scipy.integrate,
     # optimize or stats would add about a second of start-up to every run
@@ -140,12 +153,7 @@ def test_analytic_run_loads_no_heavy_scipy_modules(tmp_path):
         loaded["main"] = [m for m in heavy if m in sys.modules]
         print(json.dumps({{"rc": rc, "loaded": loaded}}))
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(timingq.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = json.loads(_fresh_interpreter(["-c", script]))
     assert result == {"rc": 0, "loaded": {"import": [], "main": []}}
 
 
@@ -171,6 +179,32 @@ def test_src_imports_no_cross_check_scipy():
             for dotted in imported:
                 assert not dotted.startswith(forbidden), (name, dotted)
                 assert dotted.split(".")[-1] != "logsumexp", (name, dotted)
+
+
+def test_only_the_cli_module_freezes_the_import_heap():
+    # the CLI freezes what its imports left so that interpreter teardown
+    # does not walk it again; a library importer keeps its collector state
+    script = textwrap.dedent("""
+        import gc, json
+        import timingq
+        library = gc.get_freeze_count()
+        import timingq.cli
+        print(json.dumps([library, gc.get_freeze_count(), len(gc.get_objects())]))
+    """)
+    library, frozen, tracked = json.loads(_fresh_interpreter(["-c", script]))
+    assert library == 0
+    assert frozen > 10_000
+    assert tracked < 1_000
+
+
+def test_cli_stdout_survives_teardown(tmp_path):
+    # a large output piped out of a frozen-heap process arrives whole
+    argv = ["-m", "timingq.cli", "simulate", "--lam", "0.456", "--mu", "1",
+            "--n", "100000"]
+    piped = _fresh_interpreter(argv)
+    out = tmp_path / "trace.csv"
+    assert _fresh_interpreter([*argv, "--out", str(out)]) == b""
+    assert piped == out.read_bytes()
 
 
 def test_package_exports_match_module_exports():
@@ -276,6 +310,11 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["infodensity", "--lam", "1", "--mu", "1e-320", "--n", "10",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "--mu" in capsys.readouterr().err
+    # the same through --service: the law's mean overflows
+    for service in ("exp:1e-320", "erlang:2:1e-320", "uniform:1e308:1.7e308"):
+        assert main(["infodensity", "--lam", "1", "--service", service,
+                     "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "--service" in capsys.readouterr().err
     assert main(["decode", "--M", "4", "--lam", "inf", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "--lam" in capsys.readouterr().err

@@ -284,6 +284,11 @@ def test_constructors_reject_bad_parameters():
                  lambda v: Uniform(0.0, v), PoissonProcess):
         with pytest.raises(ValueError):
             make(math.inf)
+    # finite parameters whose mean overflows: an infinite service time
+    for make in (lambda: Exponential(1e-320), lambda: Erlang(2, 1e-320),
+                 lambda: Erlang(10**400, 1.0), lambda: Uniform(1e308, 1.7e308)):
+        with pytest.raises(ValueError, match="overflows"):
+            make()
 
 
 def test_quadrature_error_carries_achieved_estimate():
