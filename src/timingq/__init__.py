@@ -42,11 +42,8 @@ from .distributions import (
     Deterministic,
     Erlang,
     Exponential,
-    Hypoexponential,
     NumericalConvolution,
-    PoissonProcess,
     QuadratureError,
-    RenewalProcess,
     Uniform,
     hypoexp_entropy,
 )
@@ -71,14 +68,11 @@ __all__ = [
     "Deterministic",
     "Erlang",
     "Exponential",
-    "Hypoexponential",
     "InfoDensityReport",
     "NumericalConvolution",
     "OptimumReport",
-    "PoissonProcess",
     "QuadratureError",
     "QueueTrace",
-    "RenewalProcess",
     "SimConfig",
     "TrialFailure",
     "Uniform",

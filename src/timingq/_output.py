@@ -11,16 +11,6 @@ from pathlib import Path
 OUTDIR_ENV = "TIMINGQ_OUTDIR"
 
 
-def fmt(x) -> str:
-    """Render a number for CSV: plain ints, and for floats the shortest
-    round-trip repr, which spells the specials nan, inf and -inf."""
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
-
-
 def json_text(obj) -> str:
     """Stable-key JSON with a trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -33,7 +23,8 @@ def config_comment(config: dict) -> str:
 def csv_text(columns, rows, config: dict | None = None) -> str:
     """CSV with an optional leading '# {json config}' comment line.
 
-    Cells may be numbers, strings, or None (rendered empty).
+    Cells are strings, written as they are, ints, or floats in their
+    shortest round-trip repr, which spells the specials nan, inf and -inf.
     """
     lines = []
     if config is not None:
@@ -45,11 +36,11 @@ def csv_text(columns, rows, config: dict | None = None) -> str:
 
 
 def _cell(cell) -> str:
-    if cell is None:
-        return ""
     if isinstance(cell, str):
         return cell
-    return fmt(cell)
+    if isinstance(cell, int):
+        return str(cell)
+    return repr(float(cell))
 
 
 def resolve_out_path(out: str | None) -> Path | None:

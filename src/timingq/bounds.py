@@ -124,10 +124,10 @@ def cas_bound(lam: float, service) -> float:
 
     Mutual information between the (exponential, rate lam) idle time and
     the inter-departure time, divided by the mean cycle:
-    [h(W+S) - h(S)] / (1/lam + E[S]).  h(W+S) is always the certified
-    quadrature `NumericalConvolution.entropy`, over the exact density of
-    W + S for every shipped service law, so exponential service remains a
-    genuine cross-check of the closed-form `rate_R` rather than an identity.
+    [h(W+S) - h(S)] / (1/lam + E[S]), with h(W+S) from
+    `NumericalConvolution.entropy`: the closed form for exponential service,
+    where the bound equals `rate_R`, and a certified quadrature for uniform
+    and Erlang service.
 
     A point-mass service makes the channel from idle time to departure
     time noiseless, so the bound is +inf (and vacuous).

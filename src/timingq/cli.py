@@ -36,6 +36,11 @@ gc.freeze()
 
 DEFAULT_SEED = 1729
 
+# A run past physical memory is killed or swaps rather than raising, so each
+# command first estimates its peak from its flags, as items times bytes per
+# item (tracemalloc peaks, rounded up), and exits 1 over this many bytes.
+MEMORY_BUDGET = 2**31
+
 
 class ValidationError(ValueError):
     """Bad input; the message names the offending field."""
@@ -84,6 +89,7 @@ def parse_grid(text: str, log: bool = False) -> np.ndarray:
     if not (0 < lo < hi < math.inf) or count < 2:
         raise ValidationError(
             f"--rho: need 0 < lo < hi < inf and count >= 2, got {text!r}")
+    _require_budget("--rho", count, 256)
     return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
 
 
@@ -104,6 +110,13 @@ def _require_positive(value: float, field: str) -> float:
             f"{field}: must be positive and finite with a finite reciprocal, "
             f"got {value}")
     return value
+
+
+def _require_budget(flags: str, items: int, bytes_per_item: float) -> None:
+    nbytes = min(items, 2**64) * bytes_per_item  # inf or nan on overflow
+    if not nbytes <= MEMORY_BUDGET:
+        raise ValidationError(f"{flags}: the run would need about {nbytes:.3g} "
+                              f"bytes, over the {MEMORY_BUDGET}-byte memory budget")
 
 
 def build_parser() -> _Parser:
@@ -257,8 +270,12 @@ def _cmd_simulate(args) -> str:
         _require_positive(args.lam, "--lam")
         if args.n < 1:
             raise ValidationError(f"--n: must be at least 1, got {args.n}")
+        service = _service_from_args(args)
+        # per departure: its CSV row, and the arrivals it admits or drops
+        _require_budget("--n, --lam, --service/--mu", args.n,
+                        512 + 48 * (args.lam * service.mean() + 1.0))
         trace = queue_sim.simulate(queue_sim.SimConfig(
-            arrival=Exponential(args.lam), service=_service_from_args(args),
+            arrival=Exponential(args.lam), service=service,
             n=args.n, seed=args.seed))
     return queue_sim.trace_csv(trace, _config_dict(args))
 
@@ -281,6 +298,9 @@ def _cmd_infodensity(args) -> str:
         raise ValidationError(f"--gamma: must be positive and finite, got {gamma}")
     if len(schedule) > 1 and any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError(f"--n: schedule must be increasing, got {args.n!r}")
+    # one result per trial, and the arrays of each trial in flight
+    _require_budget("--n, --trials, --threads", args.trials
+                    + schedule[-1] * min(args.threads, args.trials), 96)
     reports = achievability.empirical_liminf(
         args.lam, service, schedule, args.trials, target=target, gamma=gamma,
         seed=args.seed, threads=args.threads)
@@ -298,9 +318,13 @@ def _cmd_decode(args) -> str:
         raise ValidationError(f"--trials: must be positive, got {args.trials}")
     if args.threads < 1:
         raise ValidationError(f"--threads: must be positive, got {args.threads}")
+    Ms, ns = parse_int_list(args.M, "--M"), parse_int_list(args.n, "--n")
+    # the (M, J) epoch matrix, J ~ n (lam/mu + 1) + 64, and one bool per trial
+    _require_budget("--M, --n, --lam, --mu", max(Ms),
+                    48 * (min(max(ns), 2**64) * (args.lam / args.mu + 1.0) + 64))
+    _require_budget("--trials", args.trials, 16)
     rows = achievability.decode_rate_experiment(
-        parse_int_list(args.M, "--M"), args.lam, args.mu,
-        parse_int_list(args.n, "--n"), args.trials,
+        Ms, args.lam, args.mu, ns, args.trials,
         seed=args.seed, threads=args.threads)
     payload = {"config": _config_dict(args), "rows": rows}
     return _output.json_text(payload)

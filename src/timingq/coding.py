@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _inter_arrival_law
 from .queue_sim import _extend_epochs, _first_after
 
 __all__ = ["Codebook", "DecodeResult", "DecodeFailure",
@@ -62,8 +61,9 @@ class Codebook:
 
     Every codeword starts with gap 0 (its first packet marks the time
     origin) and continues with strictly positive gaps.  Gaps come either
-    from the hash-and-invert generator (the default, giving infinite
-    codewords) or from explicit finite sequences via `from_sequences`.
+    from the hash-and-invert generator through `inter_arrival.ppf` (the
+    default, giving infinite codewords; `inter_arrival` must be a duration
+    law) or from explicit finite sequences via `from_sequences`.
     The arrival epochs of all codewords live in one (M, J) matrix, the one
     `epoch_matrix` returns and `epochs` reads: explicit codewords fill it in
     full at construction, hashed ones extend it on demand, guarded so a
@@ -76,7 +76,9 @@ class Codebook:
             raise ValueError(f"M must be at least 1, got {M}")
         self.M = int(M)
         self.seed = int(seed) & (2**64 - 1)
-        self.inter_arrival = _inter_arrival_law(inter_arrival)
+        if sequences is None and not hasattr(inter_arrival, "ppf"):
+            raise TypeError(f"inter_arrival: need a law with ppf, got {inter_arrival!r}")
+        self.inter_arrival = inter_arrival
         self._explicit = sequences
         if sequences is None:
             self._matrix = np.zeros((self.M, 1))

@@ -1,14 +1,14 @@
 """Probability models for service, inter-arrival, and inter-departure durations.
 
-Service distributions expose sampling, exact log-densities, means, and
-closed-form differential entropies.  Inter-departure models describe
-D = W + S, the sum of an exponential idle period and a service duration.
-With exponential service D is the two-rate sum law, whose density and
-entropy are closed forms.  For every service law here (exponential,
-point mass, uniform, Erlang) `NumericalConvolution` evaluates the density
-of D exactly, and it rejects any other law.  The entropy of D for a
-non-exponential service is a composite quadrature with certified error,
-the one place in this module that can raise QuadratureError.
+Duration laws expose sampling, exact log-densities, means, quantiles and
+closed-form entropies; Poisson arrivals are Exponential(rate) gaps.
+`NumericalConvolution` describes D = W + S, an exponential idle period
+plus a service duration.  Its density is exact for every service law here
+(exponential, point mass, uniform, Erlang), and it rejects any other law.
+Its entropy is exact for exponential service (the two-rate sum law,
+`hypoexp_entropy`) and a point mass; for uniform and Erlang service it is a
+composite quadrature with certified error, the one place in this module
+that can raise QuadratureError.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -30,9 +30,6 @@ __all__ = [
     "Deterministic",
     "Erlang",
     "Uniform",
-    "PoissonProcess",
-    "RenewalProcess",
-    "Hypoexponential",
     "NumericalConvolution",
     "hypoexp_entropy",
 ]
@@ -260,101 +257,16 @@ class Uniform:
 
 
 # ---------------------------------------------------------------------------
-# arrival processes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoissonProcess:
-    """Poisson arrivals: iid exponential(rate) inter-arrival gaps."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
-
-    @property
-    def inter_arrival(self) -> Exponential:
-        return Exponential(self.rate)
-
-
-@dataclass(frozen=True)
-class RenewalProcess:
-    """Renewal arrivals with iid inter-arrival gaps from any duration model."""
-
-    inter_arrival: object
-
-    def __post_init__(self):
-        lo, hi = self.inter_arrival.support()
-        if lo < 0 or hi <= 0:
-            raise ValueError("inter-arrival gaps must be positive durations")
-
-
-def _inter_arrival_law(arrival):
-    """Accept a rate, an arrival process, or a bare duration model."""
-    if isinstance(arrival, (int, float)):
-        return Exponential(float(arrival))
-    if isinstance(arrival, (PoissonProcess, RenewalProcess)):
-        return arrival.inter_arrival
-    return arrival
-
-
-# ---------------------------------------------------------------------------
 # inter-departure models: D = W + S with W ~ Exp(lam)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hypoexponential:
-    """Sum of independent Exponential(lam) and Exponential(mu).
-
-    The density is lam*mu/(mu-lam) * (exp(-lam d) - exp(-mu d)) for d >= 0,
-    symmetric in (lam, mu).  When the two rates agree to within 1e-9
-    relative, the Erlang-2 limit mu^2 d exp(-mu d) is used instead.
-    """
-
-    lam: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-
-    def _rates(self) -> tuple[float, float]:
-        return min(self.lam, self.mu), max(self.lam, self.mu)
-
-    def _equal_rates(self) -> bool:
-        a, b = self._rates()
-        return (b - a) / b < _EQUAL_RATE_REL_TOL
-
-    def mean(self) -> float:
-        return 1.0 / self.lam + 1.0 / self.mu
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return (rng.exponential(1.0 / self.lam, size=size)
-                + rng.exponential(1.0 / self.mu, size=size))
-
-    def log_pdf(self, d):
-        d, scalar = _as_float_array(d)
-        out = np.full(d.shape, -np.inf)
-        pos = d > 0
-        dp = d[pos]
-        a, b = self._rates()
-        if self._equal_rates():
-            r = 0.5 * (a + b)
-            out[pos] = 2.0 * math.log(r) + np.log(dp) - r * dp
-        else:
-            # log f = log(ab) - log(b-a) - a d + log(1 - exp(-(b-a) d)),
-            # stable for both tiny and large (b-a) d
-            out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
-                        - a * dp + np.log(-np.expm1(-(b - a) * dp)))
-        return _maybe_scalar(out, scalar)
-
-    def entropy(self) -> float:
-        return hypoexp_entropy(self.lam, self.mu)
+def _two_rates(lam: float, mu: float) -> tuple[float, float]:
+    a, b = min(lam, mu), max(lam, mu)
+    if (b - a) / b < _EQUAL_RATE_REL_TOL:
+        r = 0.5 * (a + b)
+        return r, r
+    return a, b
 
 
 def hypoexp_entropy(lam: float, mu: float) -> float:
@@ -369,10 +281,12 @@ def hypoexp_entropy(lam: float, mu: float) -> float:
     Below 1e-9 relative separation the density's Erlang-2 branch applies
     and so does its entropy, 1 + gamma - log r.
     """
-    model = Hypoexponential(lam, mu)
-    a, b = model._rates()
-    if model._equal_rates():
-        return 1.0 + np.euler_gamma - math.log(0.5 * (a + b))
+    for name, rate in (("lam", lam), ("mu", mu)):
+        if not 0 < rate < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {rate}")
+    a, b = _two_rates(lam, mu)
+    if a == b:
+        return 1.0 + np.euler_gamma - math.log(a)
     z = b / (b - a)
     return float(1.0 + np.euler_gamma - math.log(a) + (psi(z) - math.log(z)))
 
@@ -387,7 +301,18 @@ def _point_mass_sum_log_pdf(lam, service, d):
 
 
 def _exponential_sum_log_pdf(lam, service, d):
-    return Hypoexponential(lam, service.rate).log_pdf(d)
+    a, b = _two_rates(lam, service.rate)
+    out = np.full(d.shape, -np.inf)
+    pos = d > 0
+    dp = d[pos]
+    if a == b:
+        out[pos] = 2.0 * math.log(a) + np.log(dp) - a * dp
+    else:
+        # log f = log(ab) - log(b-a) - a d + log(1 - exp(-(b-a) d)),
+        # stable for both tiny and large (b-a) d
+        out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
+                    - a * dp + np.log(-np.expm1(-(b - a) * dp)))
+    return out
 
 
 def _uniform_sum_log_pdf(lam, service, d):
@@ -427,14 +352,20 @@ _EXACT_SUM_LOG_PDF = {
     Erlang: _erlang_sum_log_pdf,
 }
 
+# Exact entropies of D = W + S (a point mass only shifts the idle time)
+_EXACT_SUM_ENTROPY = {
+    Deterministic: lambda lam, service: 1.0 - math.log(lam),
+    Exponential: lambda lam, service: hypoexp_entropy(lam, service.rate),
+}
+
 
 class NumericalConvolution:
     """Density of D = W + S for W ~ Exp(lam) independent of service S.
 
     The density is exact for the exponential, point-mass, uniform and
     Erlang services, and any other law raises ValueError.  The entropy is
-    a certified composite quadrature of the density, except for a point
-    mass, whose sum is a shifted exponential with exact entropy.
+    exact for exponential and point-mass service, and a certified
+    composite quadrature of the density for uniform and Erlang service.
     """
 
     def __init__(self, lam: float, service):
@@ -464,15 +395,15 @@ class NumericalConvolution:
         return w_tail + float(self.service.ppf(split))
 
     def entropy(self, abs_tol: float = ENTROPY_ABS_TOL) -> float:
-        """Differential entropy of D by composite Gauss-Legendre panels.
-
-        The error estimate is the difference between 32- and 64-node
-        evaluations of every panel plus the truncated-tail envelope;
-        QuadratureError if it exceeds abs_tol.
+        """Differential entropy of D: exact where a closed form exists,
+        else by composite Gauss-Legendre panels, whose error estimate is
+        the difference between 32- and 64-node evaluations of every panel
+        plus the truncated-tail envelope; QuadratureError if it exceeds
+        abs_tol.
         """
-        if isinstance(self.service, Deterministic):
-            # shifting does not change differential entropy
-            return 1.0 - math.log(self.lam)
+        exact = _EXACT_SUM_ENTROPY.get(type(self.service))
+        if exact is not None:
+            return exact(self.lam, self.service)
         upper = self.quantile_bound(1.0 - _TAIL_MASS)
         s_lo, s_hi = self.service.support()
         knots = {0.0, upper}

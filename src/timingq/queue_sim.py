@@ -89,9 +89,9 @@ def admitted_indices(arrival_epochs, departure_epochs) -> np.ndarray:
 class SimConfig:
     """Inputs for one simulated trace.
 
-    arrival: a process model (PoissonProcess / RenewalProcess), a bare
-        duration model for the gaps, or an explicit gap sequence / iterator
-        whose first element is 0 (the time-origin packet).
+    arrival: a duration law for iid gaps (anything with `sample`), or an
+        explicit gap sequence / iterator whose first element is 0 (the
+        time-origin packet).
     service: a duration model, or an explicit sequence of at least n+1
         positive service times.
     n: number of departures to observe beyond the zeroth.
@@ -158,11 +158,8 @@ def _gap_chunks(arrival, rng):
     """Arrival gaps after the time-origin packet, in chunks: _CHUNK draws at
     a time from a law, or pulls from an explicit gap source that double from
     _FIRST_PULL to _CHUNK until it runs out."""
-    law = getattr(arrival, "inter_arrival", None)
-    if not hasattr(law, "sample"):
-        law = arrival if callable(getattr(arrival, "sample", None)) else None
-    if law is not None:
-        return (law.sample(rng, size=_CHUNK) for _ in itertools.count())
+    if callable(getattr(arrival, "sample", None)):
+        return (arrival.sample(rng, size=_CHUNK) for _ in itertools.count())
     source = iter(arrival)
     first = next(source, None)
     if first is None or float(first) != 0.0:

@@ -20,7 +20,7 @@ from scipy import integrate, optimize
 from scipy.special import logsumexp
 
 from timingq import QuadratureError
-from timingq.distributions import _as_float_array, _maybe_scalar
+from timingq.distributions import _as_float_array, _maybe_scalar, _two_rates
 
 # Order of the fixed Gauss-Legendre rule of `gl_sum_log_pdf`.
 GL_ORDER = 256
@@ -117,26 +117,25 @@ def gl_sum_log_pdf(lam: float, service, d):
     return out
 
 
-def two_rate_sf(model, d):
-    """Survival function P[D > d] of the two-rate sum law `model`, a
-    `timingq.Hypoexponential`."""
+def two_rate_sf(lam: float, mu: float, d):
+    """Survival function P[D > d] of Exponential(lam) + Exponential(mu),
+    with the library's Erlang-2 branch for merged rates."""
     d, scalar = _as_float_array(d)
-    a, b = model._rates()
-    if model._equal_rates():
-        r = 0.5 * (a + b)
-        out = np.exp(-r * d) * (1.0 + r * d)
+    a, b = _two_rates(lam, mu)
+    if a == b:
+        out = np.exp(-a * d) * (1.0 + a * d)
     else:
         out = (b * np.exp(-a * d) - a * np.exp(-b * d)) / (b - a)
     return _maybe_scalar(np.where(d <= 0, 1.0, out), scalar)
 
 
-def two_rate_quantile(model, q: float) -> float:
-    """The q-quantile of the two-rate sum law `model`, by bracketing and
-    Brent's method on `two_rate_sf`."""
+def two_rate_quantile(lam: float, mu: float, q: float) -> float:
+    """The q-quantile of Exponential(lam) + Exponential(mu), by bracketing
+    and Brent's method on `two_rate_sf`."""
     if not 0 < q < 1:
         raise ValueError("quantile level must be in (0, 1)")
     hi = 1.0
-    while two_rate_sf(model, hi) > 1.0 - q:
+    while two_rate_sf(lam, mu, hi) > 1.0 - q:
         hi *= 2.0
-    return optimize.brentq(lambda d: two_rate_sf(model, d) - (1.0 - q), 0.0, hi,
+    return optimize.brentq(lambda d: two_rate_sf(lam, mu, d) - (1.0 - q), 0.0, hi,
                            xtol=1e-12, rtol=8.9e-16)

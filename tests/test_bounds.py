@@ -132,10 +132,11 @@ def test_c_upper_monotone_and_concave():
 # --------------------------------------------------------- queue-specific
 
 def test_cas_bound_exponential_service_coincides_with_rate():
-    # two genuinely different code paths: closed-form two-rate entropy
-    # vs the numerical convolution; they must land on the same number
+    # two genuinely different code paths: closed-form two-rate entropy vs
+    # the panel quadrature, which Erlang(1, mu), the same law as
+    # Exponential(mu), still takes; they must land on the same number
     for lam in (0.2, RHO_STAR, 1.7):
-        assert abs(cas_bound(lam, Exponential(1.0)) - rate_R(lam, 1.0)) < 1e-9
+        assert abs(cas_bound(lam, Erlang(1, 1.0)) - rate_R(lam, 1.0)) < 1e-9
 
 
 def test_cas_bound_point_mass_service_dominates():

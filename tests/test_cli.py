@@ -326,6 +326,29 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["decode", "--M", "0", "--lam", "1", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
+    # finite sizes and rate ratios whose runs would not fit the memory
+    # budget exit before allocating anything, naming a flag
+    for argv, flag in (
+            (["simulate", "--lam", "1", "--service", "det:1e9", "--n", "2"],
+             "--service"),
+            (["simulate", "--lam", "1", "--mu", "1", "--n", "2000000000"], "--n"),
+            (["decode", "--M", "16", "--n", "2", "--lam", "1e5", "--mu", "1e-3",
+              "--trials", "1"], "--mu"),
+            (["decode", "--M", "16", "--n", "2", "--lam", "1", "--mu", "1e-300",
+              "--trials", "1"], "--mu"),
+            (["decode", "--M", "100000000", "--n", "2", "--lam", "1", "--mu", "1"],
+             "--M"),
+            (["bounds", "--mu", "1", "--no-cas", "--rho", "0.05:10:2000000000"],
+             "--rho"),
+            (["infodensity", "--lam", "1", "--mu", "1", "--n", "2000000000",
+              "--trials", "1"], "--n"),
+            (["infodensity", "--lam", "1", "--mu", "1", "--n", "10",
+              "--trials", "2000000000"], "--trials"),
+            (["decode", "--M", "4", "--n", "2", "--lam", "1", "--mu", "1",
+              "--trials", "2000000000"], "--trials")):
+        assert main(argv + ["--out", str(tmp_path / "x.out")]) == 1
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_bounds_at_extreme_load_exits_zero(tmp_path):

@@ -112,6 +112,10 @@ def test_explicit_codebook_validation():
         Codebook.from_sequences([[0.0, 1.0, float("nan")]])
     with pytest.raises(ValueError):
         Codebook(M=0, seed=1, inter_arrival=Exponential(1.0))
+    # a hashed codebook inverts its law's CDF: a bare rate is not a law
+    for bad in (1.0, None, [0.0, 1.0]):
+        with pytest.raises(TypeError, match="inter_arrival"):
+            Codebook(M=2, seed=1, inter_arrival=bad)
 
 
 def test_message_out_of_range():

@@ -9,11 +9,8 @@ from timingq import (
     Deterministic,
     Erlang,
     Exponential,
-    Hypoexponential,
     NumericalConvolution,
-    PoissonProcess,
     QuadratureError,
-    RenewalProcess,
     Uniform,
     hypoexp_entropy,
 )
@@ -46,18 +43,11 @@ def test_exponential_large_sample_mean():
 
 def test_sample_means_match_model_means():
     rng = np.random.default_rng(99)
-    for model in (Erlang(3, 2.0), Uniform(0.5, 2.5), Hypoexponential(0.7, 1.3)):
+    for model in (Erlang(3, 2.0), Uniform(0.5, 2.5),
+                  NumericalConvolution(0.7, Exponential(1.3))):
         x = model.sample(rng, 200_000)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - model.mean()) < 4 * se
-
-
-def test_arrival_process_wrappers():
-    proc = PoissonProcess(2.0)
-    assert isinstance(proc.inter_arrival, Exponential)
-    assert proc.inter_arrival.rate == 2.0
-    ren = RenewalProcess(Uniform(0.1, 0.3))
-    assert ren.inter_arrival.mean() == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------- log_pdf
@@ -69,21 +59,21 @@ def test_exponential_log_pdf_at_origin_is_log_rate():
 
 def test_two_rate_sum_log_pdf_closed_point():
     # rates (1, 2) at ln 2: density 2(e^{-ln2} - e^{-2 ln2}) = 2(1/2 - 1/4) = 1/2
-    d = Hypoexponential(1.0, 2.0)
+    d = NumericalConvolution(1.0, Exponential(2.0))
     assert d.log_pdf(math.log(2.0)) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_two_rate_sum_density_vanishes_at_origin():
     for lam, mu in ((1.0, 2.0), (0.3, 5.0), (4.0, 4.0)):
-        d = Hypoexponential(lam, mu)
+        d = NumericalConvolution(lam, Exponential(mu))
         assert d.log_pdf(0.0) == -math.inf
         assert d.log_pdf(-1.0) == -math.inf
 
 
 def test_two_rate_sum_symmetric_in_rates():
     x = np.linspace(0.05, 20.0, 200)
-    a = Hypoexponential(0.6, 2.3).log_pdf(x)
-    b = Hypoexponential(2.3, 0.6).log_pdf(x)
+    a = NumericalConvolution(0.6, Exponential(2.3)).log_pdf(x)
+    b = NumericalConvolution(2.3, Exponential(0.6)).log_pdf(x)
     assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -102,7 +92,7 @@ def test_uniform_log_pdf_support():
 
 def test_equal_rate_branch_matches_gamma():
     # at lam == mu the two-rate density degenerates to a shape-2 gamma
-    d = Hypoexponential(2.0, 2.0)
+    d = NumericalConvolution(2.0, Exponential(2.0))
     x = np.linspace(0.01, 8.0, 50)
     assert np.allclose(d.log_pdf(x), stats.gamma.logpdf(x, a=2, scale=0.5),
                        rtol=0, atol=1e-10)
@@ -159,15 +149,17 @@ def test_two_rate_entropy_monte_carlo_small():
     rng = np.random.default_rng(515)
     n = 10**5
     d = Exponential(lam).sample(rng, n) + Exponential(mu).sample(rng, n)
-    logf = Hypoexponential(lam, mu).log_pdf(d)
+    logf = NumericalConvolution(lam, Exponential(mu)).log_pdf(d)
     est = -logf.mean()
     se = logf.std(ddof=1) / math.sqrt(n)
     assert abs(hypoexp_entropy(lam, mu) - est) < 3 * se
 
 
 def test_entropy_objects_agree_with_module_function():
-    assert Hypoexponential(0.7, 1.1).entropy() == pytest.approx(
-        hypoexp_entropy(0.7, 1.1), abs=1e-12)
+    # exponential service takes the closed form itself, not a quadrature
+    for lam, mu in ((0.7, 1.1), (1.1, 0.7), (0.456, 1.0), (2.0, 2.0), (1e-3, 50.0)):
+        assert (NumericalConvolution(lam, Exponential(mu)).entropy()
+                == hypoexp_entropy(lam, mu))
 
 
 # --------------------------------------------------- departure convolution
@@ -175,11 +167,11 @@ def test_entropy_objects_agree_with_module_function():
 def test_convolution_matches_two_rate_closed_form():
     # exponential service makes the numerical convolution redundant, which is
     # exactly why it is the strongest check available for the Gauss-Legendre
-    # oracle
+    # oracle; the reference is the two-rate density written out directly
     d = np.linspace(0.05, 25.0, 300)
     for lam in (1e-3, 0.08, 0.456, 2.0, 50.0):
         conv = NumericalConvolution(lam, Exponential(1.0))
-        ref = Hypoexponential(lam, 1.0).log_pdf(d)
+        ref = np.log(lam / (1.0 - lam) * (np.exp(-lam * d) - np.exp(-d)))
         assert np.max(np.abs(gl_sum_log_pdf(lam, Exponential(1.0), d) - ref)) < 1e-10
         assert np.max(np.abs(conv.log_pdf(d) - ref)) < 1e-10
 
@@ -204,13 +196,16 @@ def test_convolution_point_mass_service_is_shifted_exponential():
 
 
 def test_convolution_takes_only_exact_laws():
-    # the exponential law takes the two-rate sum density itself
+    # Exponential(mu) and Erlang(1, mu) are one law reached by two exact
+    # forms: the two-rate sum density and the 1F1 one
     d = np.linspace(0.01, 30.0, 200)
-    assert np.array_equal(NumericalConvolution(0.5, Exponential(1.0)).log_pdf(d),
-                          Hypoexponential(0.5, 1.0).log_pdf(d))
-    # a law without an exact W + S density is refused by name
-    with pytest.raises(ValueError, match="Hypoexponential"):
-        NumericalConvolution(1.0, Hypoexponential(1.0, 2.0))
+    assert np.allclose(NumericalConvolution(0.5, Exponential(1.0)).log_pdf(d),
+                       NumericalConvolution(0.5, Erlang(1, 1.0)).log_pdf(d),
+                       rtol=0, atol=1e-12)
+    # a law without an exact W + S density is refused by name, here the
+    # two-rate sum law itself
+    with pytest.raises(ValueError, match="NumericalConvolution"):
+        NumericalConvolution(1.0, NumericalConvolution(1.0, Exponential(2.0)))
 
 
 def test_convolution_density_zero_at_origin():
@@ -219,32 +214,29 @@ def test_convolution_density_zero_at_origin():
 
 
 def test_convolution_entropy_matches_two_rate_quadrature():
+    # Erlang(1, mu) is Exponential(mu) but still takes the panel quadrature
     for lam in (0.2, 0.456, 3.0):
-        a = NumericalConvolution(lam, Exponential(1.0)).entropy()
+        a = NumericalConvolution(lam, Erlang(1, 1.0)).entropy()
         b = hypoexp_entropy(lam, 1.0)
         assert abs(a - b) < 2e-8
 
 
 def test_densities_integrate_to_one():
     models = [
-        Hypoexponential(0.5, 1.0),
-        Hypoexponential(2.0, 2.0),
+        NumericalConvolution(0.5, Exponential(1.0)),
+        NumericalConvolution(2.0, Exponential(2.0)),
         NumericalConvolution(0.8, Uniform(0.2, 1.8)),
         NumericalConvolution(0.8, Erlang(3, 2.0)),
     ]
     for m in models:
-        if hasattr(m, "quantile_bound"):
-            hi = m.quantile_bound(1.0 - 1e-13)
-        else:
-            hi = two_rate_quantile(m, 1.0 - 1e-13)
+        hi = m.quantile_bound(1.0 - 1e-13)
         total, _ = integrate.quad(lambda x: math.exp(m.log_pdf(x)), 0.0, hi, limit=200)
         assert abs(total - 1.0) < 1e-6
 
 
 def test_quantile_inverts_survival():
-    d = Hypoexponential(0.5, 1.0)
     for q in (0.1, 0.5, 0.9, 0.999):
-        assert two_rate_sf(d, two_rate_quantile(d, q)) == pytest.approx(
+        assert two_rate_sf(0.5, 1.0, two_rate_quantile(0.5, 1.0, q)) == pytest.approx(
             1.0 - q, abs=1e-10)
 
 
@@ -265,23 +257,21 @@ def test_constructors_reject_bad_parameters():
         Uniform(2.0, 2.0)
     with pytest.raises(ValueError):
         Uniform(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        Hypoexponential(0.0, 1.0)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        hypoexp_entropy(0.0, 1.0)
     with pytest.raises(ValueError):
         NumericalConvolution(0.0, Exponential(1.0))
     # a non-finite rate made hypoexp_entropy nan and cas_bound negative
     for rate in (math.inf, math.nan):
-        for make in (lambda v: Hypoexponential(v, 1.0),
-                     lambda v: Hypoexponential(1.0, v),
+        for make in (lambda v: hypoexp_entropy(v, 1.0),
+                     lambda v: hypoexp_entropy(1.0, v),
                      lambda v: NumericalConvolution(v, Exponential(1.0))):
             with pytest.raises(ValueError):
                 make(rate)
-    with pytest.raises(ValueError):
-        PoissonProcess(-2.0)
     # an infinite rate or scale makes every gap 0 or inf, which the
     # simulator and the codebook would extend forever
     for make in (Exponential, Deterministic, lambda v: Erlang(2, v),
-                 lambda v: Uniform(0.0, v), PoissonProcess):
+                 lambda v: Uniform(0.0, v)):
         with pytest.raises(ValueError):
             make(math.inf)
     # finite parameters whose mean overflows: an infinite service time

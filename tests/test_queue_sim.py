@@ -7,7 +7,6 @@ from scipy import stats
 from timingq import (
     ArrivalsExhausted,
     Exponential,
-    PoissonProcess,
     SimConfig,
     admitted_indices,
     expected_decode_time,
@@ -61,7 +60,7 @@ def test_admitted_prefix_stops_at_unresolved_tail():
 
 
 def test_idle_recompute_from_epochs_is_exact():
-    cfg = SimConfig(arrival=PoissonProcess(0.8), service=Exponential(1.2),
+    cfg = SimConfig(arrival=Exponential(0.8), service=Exponential(1.2),
                     n=500, seed=7)
     trace = simulate(cfg)
     k = trace.admitted_indices
@@ -70,7 +69,7 @@ def test_idle_recompute_from_epochs_is_exact():
 
 
 def test_validate_catches_corruption():
-    trace = simulate(SimConfig(arrival=PoissonProcess(1.0),
+    trace = simulate(SimConfig(arrival=Exponential(1.0),
                                service=Exponential(1.0), n=50, seed=3))
     trace.validate()
     trace.idle_times[10] += 1e-9
@@ -79,7 +78,7 @@ def test_validate_catches_corruption():
 
 
 def test_validate_catches_bad_admission():
-    trace = simulate(SimConfig(arrival=PoissonProcess(1.0),
+    trace = simulate(SimConfig(arrival=Exponential(1.0),
                                service=Exponential(1.0), n=50, seed=4))
     trace.admitted_indices[5] += 1
     with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ def test_validate_catches_bad_admission():
 
 
 def test_same_seed_same_trace():
-    cfg = lambda s: SimConfig(arrival=PoissonProcess(0.5),
+    cfg = lambda s: SimConfig(arrival=Exponential(0.5),
                               service=Exponential(1.0), n=200, seed=s)
     a, b = simulate(cfg(11)), simulate(cfg(11))
     assert np.array_equal(a.inter_departures, b.inter_departures)
@@ -105,7 +104,7 @@ def test_idle_times_are_exponential_and_independent_of_service():
     critical value and a plain sample correlation.
     """
     lam, mu, n = 0.7, 1.3, 10**5
-    trace = simulate(SimConfig(arrival=PoissonProcess(lam),
+    trace = simulate(SimConfig(arrival=Exponential(lam),
                                service=Exponential(mu), n=n, seed=42))
     w = trace.idle_times
     ks = stats.kstest(w, "expon", args=(0.0, 1.0 / lam)).statistic
@@ -118,7 +117,7 @@ def test_mean_total_decode_time_matches_formula():
     lam, mu, n, trials = 0.9, 1.1, 400, 200
     service = Exponential(mu)
     finals = np.array([
-        simulate(SimConfig(arrival=PoissonProcess(lam), service=service,
+        simulate(SimConfig(arrival=Exponential(lam), service=service,
                            n=n, seed=10_000 + t)).departure_epochs[-1]
         for t in range(trials)
     ])
@@ -146,7 +145,7 @@ def test_trace_csv_golden():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(arrival=PoissonProcess(1.0), service=Exponential(1.0), n=0)
+        SimConfig(arrival=Exponential(1.0), service=Exponential(1.0), n=0)
     with pytest.raises(ValueError):
         # explicit arrival gaps must start at 0 (first packet defines time 0)
         simulate(SimConfig(arrival=[1.0, 1.0], service=[2.5, 1.0], n=1))

@@ -28,8 +28,6 @@ from timingq import (
     DecodeFailure,
     Erlang,
     Exponential,
-    PoissonProcess,
-    RenewalProcess,
     SimConfig,
     Uniform,
     encode,
@@ -61,11 +59,7 @@ class _PrefixEpochBuffer:
         self._iter = None
         self._rng = rng
         self._exhausted = False
-        sample = getattr(arrival, "sample", None)
-        inter = getattr(arrival, "inter_arrival", None)
-        if inter is not None and hasattr(inter, "sample"):
-            self._law = inter
-        elif callable(sample):
+        if callable(getattr(arrival, "sample", None)):
             self._law = arrival
         else:
             self._iter = iter(arrival)
@@ -175,11 +169,8 @@ def sim_cases(draw):
         n = draw(st.integers(1, len(seq)) | st.integers(len(seq) // 2, len(seq)))
         arrival = lambda: _source(seq, wrap)
     elif arrival_kind == "poisson":
-        arrival = lambda: PoissonProcess(rate)
-    elif arrival_kind == "renewal":
-        law = _law(draw(st.sampled_from(["exp", "erlang", "uniform"])), rate)
-        arrival = lambda: RenewalProcess(law)
-    elif arrival_kind == "bare":
+        arrival = lambda: Exponential(rate)
+    elif arrival_kind in ("renewal", "bare"):
         law = _law(draw(st.sampled_from(["exp", "erlang", "uniform"])), rate)
         arrival = lambda: law
     else:
