@@ -53,8 +53,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def per_service_time(rate_per_unit_time: float, service) -> float:
     """Convert nats per unit time to nats per mean service time."""
-    mean = service.mean() if hasattr(service, "mean") else float(service)
-    return rate_per_unit_time * mean
+    return rate_per_unit_time * service.mean()
 
 
 def rate_R(lam: float, mu: float) -> float:
@@ -126,8 +125,8 @@ def cas_bound(lam: float, service) -> float:
     the inter-departure time, divided by the mean cycle:
     [h(W+S) - h(S)] / (1/lam + E[S]), with h(W+S) from
     `NumericalConvolution.entropy`: the closed form for exponential service,
-    where the bound equals `rate_R`, and a certified quadrature for uniform
-    and Erlang service.
+    where the bound equals `rate_R`, a dilogarithm form for uniform service,
+    and a certified quadrature for Erlang service.
 
     A point-mass service makes the channel from idle time to departure
     time noiseless, so the bound is +inf (and vacuous).
@@ -182,8 +181,8 @@ def sweep(rho_grid, mu: float, service=None, include_cas: bool = True) -> BoundC
     """Tabulate normalized rate and converse curves over rho = lam/mu.
 
     `service` defaults to exponential with rate mu.  The cas column is the
-    slowest (an entropy quadrature per grid point) and can be skipped, in
-    which case it is filled with NaN.
+    slowest (for Erlang service, an entropy quadrature per grid point) and
+    can be skipped, in which case it is filled with NaN.
     """
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or np.any(rho <= 0):

@@ -319,9 +319,14 @@ def _cmd_decode(args) -> str:
     if args.threads < 1:
         raise ValidationError(f"--threads: must be positive, got {args.threads}")
     Ms, ns = parse_int_list(args.M, "--M"), parse_int_list(args.n, "--n")
-    # the (M, J) epoch matrix, J ~ n (lam/mu + 1) + 64, and one bool per trial
-    _require_budget("--M, --n, --lam, --mu", max(Ms),
-                    48 * (min(max(ns), 2**64) * (args.lam / args.mu + 1.0) + 64))
+    try:
+        cells = achievability._broadcast_schedules(Ms, ns)
+    except ValueError as exc:
+        raise ValidationError(f"--M, --n: {exc}") from exc
+    # each cell's (M, J) epoch matrix, J ~ n (lam/mu + 1) + 64, and one bool per trial
+    for M, n in cells:
+        _require_budget("--M, --n, --lam, --mu", M,
+                        48 * (min(n, 2**64) * (args.lam / args.mu + 1.0) + 64))
     _require_budget("--trials", args.trials, 16)
     rows = achievability.decode_rate_experiment(
         Ms, args.lam, args.mu, ns, args.trials,

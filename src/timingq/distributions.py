@@ -6,9 +6,9 @@ closed-form entropies; Poisson arrivals are Exponential(rate) gaps.
 plus a service duration.  Its density is exact for every service law here
 (exponential, point mass, uniform, Erlang), and it rejects any other law.
 Its entropy is exact for exponential service (the two-rate sum law,
-`hypoexp_entropy`) and a point mass; for uniform and Erlang service it is a
-composite quadrature with certified error, the one place in this module
-that can raise QuadratureError.
+`hypoexp_entropy`), uniform service and a point mass; for Erlang service
+it is a composite quadrature with certified error, the one place in this
+module that can raise QuadratureError.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -116,9 +116,6 @@ class Exponential:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
@@ -148,9 +145,6 @@ class Deterministic:
 
     def mean(self) -> float:
         return self.value
-
-    def support(self) -> tuple[float, float]:
-        return (self.value, self.value)
 
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
@@ -187,9 +181,6 @@ class Erlang:
 
     def mean(self) -> float:
         return self.shape / self.rate
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(float(self.shape), 1.0 / self.rate, size=size)
@@ -235,9 +226,6 @@ class Uniform:
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.lo, self.hi, size=size)
@@ -323,8 +311,11 @@ def _uniform_sum_log_pdf(lam, service, d):
     pos = d > lo
     dp = d[pos]
     m = np.minimum(dp, hi)
-    out[pos] = (np.log(-np.expm1(-lam * (m - lo))) - lam * (dp - m)
-                - math.log(hi - lo))
+    x = lam * (m - lo)
+    under = x < np.finfo(float).tiny  # there log(1 - e^(-x)) = log lam + log(m - lo)
+    log_mass = np.log(-np.expm1(-np.where(under, 1.0, x)))
+    log_mass[under] = math.log(lam) + np.log(m[under] - lo)
+    out[pos] = log_mass - lam * (dp - m) - math.log(hi - lo)
     return out
 
 
@@ -352,10 +343,32 @@ _EXACT_SUM_LOG_PDF = {
     Erlang: _erlang_sum_log_pdf,
 }
 
+
+def _dilog(z: float) -> float:
+    # Li2(z) = sum_{k>=1} z^k / k^2; 63 terms reach 1e-20 at z = 1/2
+    return math.fsum(z ** k / (k * k) for k in range(1, 64))
+
+
+def _uniform_sum_entropy(lam, service):
+    # With L = hi - lo, x = lam L and p = 1 - e^(-x), -f log f integrates to
+    # h = Li2(p)/x - log(p/x) - log lam, which tends to 1 - log lam + x/4.
+    # Euler's reflection Li2(p) + Li2(1 - p) = pi^2/6 - log p log(1 - p) turns
+    # it into h = log L + (pi^2/6 - Li2(e^(-x)))/x, finite once e^(-x) underflows.
+    width = service.hi - service.lo
+    x = lam * width
+    if x == 0.0:  # the service is negligible next to the idle time
+        return 1.0 - math.log(lam)
+    p = -math.expm1(-x)
+    if p <= 0.5:
+        return _dilog(p) / x - math.log(p / x) - math.log(lam)
+    return math.log(width) + (math.pi ** 2 / 6.0 - _dilog(math.exp(-x))) / x
+
+
 # Exact entropies of D = W + S (a point mass only shifts the idle time)
 _EXACT_SUM_ENTROPY = {
     Deterministic: lambda lam, service: 1.0 - math.log(lam),
     Exponential: lambda lam, service: hypoexp_entropy(lam, service.rate),
+    Uniform: _uniform_sum_entropy,
 }
 
 
@@ -364,8 +377,8 @@ class NumericalConvolution:
 
     The density is exact for the exponential, point-mass, uniform and
     Erlang services, and any other law raises ValueError.  The entropy is
-    exact for exponential and point-mass service, and a certified
-    composite quadrature of the density for uniform and Erlang service.
+    exact for exponential, uniform and point-mass service, and a certified
+    composite quadrature of the density for Erlang service.
     """
 
     def __init__(self, lam: float, service):
@@ -405,18 +418,8 @@ class NumericalConvolution:
         if exact is not None:
             return exact(self.lam, self.service)
         upper = self.quantile_bound(1.0 - _TAIL_MASS)
-        s_lo, s_hi = self.service.support()
-        knots = {0.0, upper}
-        for k in (s_lo, s_hi):
-            if math.isfinite(k) and 0.0 < k < upper:
-                knots.add(k)
-        edges = np.unique(np.concatenate([
-            np.array(sorted(knots)),
-            # graded from the support start, where D's density has its
-            # x log x edge
-            s_lo + np.geomspace((upper - s_lo) * 1e-8, upper - s_lo, 48),
-        ]))
-        edges = edges[edges <= upper]
+        # graded toward 0, where the Erlang sum density vanishes like d^k
+        edges = np.concatenate([[0.0], np.geomspace(upper * 1e-8, upper, 48)])
 
         def panel_sum(order):
             nodes, weights = _gl_rule(order)

@@ -242,7 +242,7 @@ def expected_decode_time(lam: float, service, n: int) -> float:
     """Expected epoch of departure n: one mean service for the zeroth packet
     plus n cycles of mean idle (1/lam, by memorylessness of the arrivals)
     and mean service."""
-    mean = service.mean() if hasattr(service, "mean") else float(service)
+    mean = service.mean()
     return mean + n * (1.0 / lam + mean)
 
 

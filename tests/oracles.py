@@ -6,10 +6,10 @@ through a shape integral `g_rho` instead of the library's closed form, so
 the tests can cross-check `timingq.hypoexp_entropy` against an independent
 route.  `gl_sum_log_pdf` evaluates the density of D = W + S by a
 Gauss-Legendre convolution, the oracle for the exact per-law densities of
-`NumericalConvolution`.  `two_rate_sf` and `two_rate_quantile` give the
-survival function and quantiles of the two-rate sum law, for the
-integration limits of the entropy oracles.  None of them serves the
-library itself.
+`NumericalConvolution`, over the interval that `support` gives for each
+shipped law.  `two_rate_sf` and `two_rate_quantile` give the survival
+function and quantiles of the two-rate sum law, for the integration limits
+of the entropy oracles.  None of them serves the library itself.
 """
 
 import math
@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, optimize
 from scipy.special import logsumexp
 
-from timingq import QuadratureError
+from timingq import Deterministic, QuadratureError, Uniform
 from timingq.distributions import _as_float_array, _maybe_scalar, _two_rates
 
 # Order of the fixed Gauss-Legendre rule of `gl_sum_log_pdf`.
@@ -82,6 +82,16 @@ def hypoexp_entropy_rewritten(lam: float, mu: float) -> float:
             + rho / (1.0 - rho) ** 2 * g_rho(rho))
 
 
+def support(law) -> tuple[float, float]:
+    """The interval [lo, hi] outside which a shipped duration law has no
+    mass: the exponential and Erlang laws live on [0, inf)."""
+    if isinstance(law, Uniform):
+        return law.lo, law.hi
+    if isinstance(law, Deterministic):
+        return law.value, law.value
+    return 0.0, math.inf
+
+
 def gl_sum_log_pdf(lam: float, service, d):
     """Log-density of D = W + S, W ~ Exp(lam), for a float array d.
 
@@ -91,7 +101,7 @@ def gl_sum_log_pdf(lam: float, service, d):
     1 - 1e-14 quantile and the idle mass beyond 700/lam, so this is an
     oracle only where the dropped mass is small relative to f_D(d).
     """
-    s_lo, s_hi = service.support()
+    s_lo, s_hi = support(service)
     lo = np.maximum(0.0, d - s_hi) if math.isfinite(s_hi) else np.zeros_like(d)
     hi = np.minimum(d - s_lo, d)
     # tighten the window where either factor is negligible, else the

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timingq
+import timingq.cli as cli
 from conftest import RATE_STAR
 from timingq.cli import (
     DEFAULT_SEED,
@@ -326,6 +328,12 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["decode", "--M", "0", "--lam", "1", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
+    capsys.readouterr()
+    # schedules of lengths 3 and 2 do not broadcast
+    assert main(["decode", "--M", "2,3,4", "--n", "2,5", "--lam", "1", "--mu", "1",
+                 "--trials", "1", "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert "--M, --n" in err and len(err.strip().splitlines()) == 1
     # finite sizes and rate ratios whose runs would not fit the memory
     # budget exit before allocating anything, naming a flag
     for argv, flag in (
@@ -357,6 +365,11 @@ def test_bounds_at_extreme_load_exits_zero(tmp_path):
                  "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
     assert all(float(r[1]) >= 0.0 for r in rows)
+    # with uniform service, lam (hi - lo) overflows at the top of the grid
+    assert main(["bounds", "--mu", "1", "--rho", "1:1e308:3", "--service",
+                 "uniform:0:2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+    assert all(float(r[1]) >= 0.0 and float(r[3]) >= 0.0 for r in rows)
 
 
 def test_bounds_uniform_service_with_positive_lo_exits_zero(tmp_path):
@@ -366,6 +379,53 @@ def test_bounds_uniform_service_with_positive_lo_exits_zero(tmp_path):
     assert main(["bounds", "--mu", "1", "--service", "uniform:0.5:1.5",
                  "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 202  # config + header + 200 rows
+
+
+def test_decode_budget_takes_the_largest_cell(tmp_path):
+    # pairing the largest M with the largest n would ask for 2.8e10 bytes;
+    # the cells (20000, 2) and (2, 20000) each fit
+    out = tmp_path / "x.json"
+    assert main(["decode", "--M", "20000,2", "--n", "2,20000", "--lam", "0.456",
+                 "--mu", "1", "--trials", "1", "--out", str(out)]) == 0
+    assert [(r["M"], r["n"]) for r in json.loads(out.read_text())["rows"]] == [
+        (20000, 2), (2, 20000)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mu", "1", "--rho", "0.05:10:16000"],
+    ["bounds", "--mu", "1", "--service", "uniform:0:2", "--rho", "0.05:10:8200"],
+    # a small table, within the fixed allowance
+    ["bounds", "--mu", "1", "--service", "erlang:2:2", "--rho", "0.05:10:300"],
+    ["optimum", "--mu", "1"],
+    ["simulate", "--lam", "0.456", "--mu", "1", "--n", "8000"],
+    ["simulate", "--lam", "2", "--service", "uniform:0:2", "--n", "4000"],
+    ["infodensity", "--lam", "0.456", "--service", "erlang:2:2", "--n", "30000",
+     "--trials", "2"],
+    ["decode", "--M", "256", "--n", "200", "--lam", "0.456", "--mu", "1",
+     "--trials", "3"],
+    ["decode", "--M", "16,256", "--n", "4000,200", "--lam", "0.456", "--mu", "1",
+     "--trials", "2"],
+], ids=lambda argv: " ".join(argv))
+def test_memory_estimate_bounds_the_traced_peak(argv, tmp_path, monkeypatch):
+    # each command asks _require_budget to allow its estimated peak before
+    # any work; the traced peak of the run stays within what it asked plus
+    # a fixed 1 MiB for caches and small tables
+    asked = []
+    allow = cli._require_budget
+
+    def record(flags, items, bytes_per_item):
+        asked.append(min(items, 2**64) * bytes_per_item)
+        allow(flags, items, bytes_per_item)
+
+    monkeypatch.setattr(cli, "_require_budget", record)
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(tmp_path / "x.out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= sum(asked) + 2**20
 
 
 def test_bounds_rejects_service_mean_other_than_one_over_mu(tmp_path, capsys):
@@ -478,13 +538,16 @@ def _option(name, *values):
     return [[f"--{name}", value] for value in values]
 
 
+# uniform:0.999:1.001 has mean 1 and lam (hi - lo) near 1e-3, the small end
+# of the uniform sum entropy's closed form
 LAWS = (_option("mu", "1", "2")
-        + _option("service", "erlang:2:2", "uniform:0:2", "det:1", "exp:inf",
-                  "uniform:0:inf", "gamma:1"))
+        + _option("service", "erlang:2:2", "uniform:0:2", "uniform:0.999:1.001",
+                  "det:1", "exp:inf", "uniform:0:inf", "gamma:1"))
 BOUNDS = _argv("bounds", _option("mu", "1"),
                _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3"),
-               [[]] + _option("service", "erlang:2:2", "uniform:0:2", "det:1",
-                              "exp:2", "uniform:0:inf"),
+               [[]] + _option("service", "erlang:2:2", "uniform:0:2",
+                              "uniform:0.999:1.001", "det:1", "exp:2",
+                              "uniform:0:inf"),
                [[], ["--log"]], [[], ["--no-cas"]])
 OPTIMUM = _argv("optimum", _option("mu", "1", "2"),
                 _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3"),
@@ -498,7 +561,10 @@ INFODENSITY = _argv("infodensity", _option("lam", "0.5", "2"),
                     [[]] + _option("target", "0.1"),
                     [[]] + _option("gamma", "0.01"),
                     [[]] + _option("format", "csv", "json", "xml"))
-DECODE = _argv("decode", _option("M", "4", "2,3"), _option("n", "2", "2,5"),
+# schedules of lengths 1 to 4, which broadcast only at equal lengths or
+# against a single value
+DECODE = _argv("decode", _option("M", "4", "2,3", "3,2,4", "2,4,3,2"),
+               _option("n", "2", "2,5", "5,2,3", "3,2,5,2"),
                _option("lam", "0.5", "2"), _option("mu", "1", "2"),
                [[]] + _option("trials", "3"))
 

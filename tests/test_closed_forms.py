@@ -1,11 +1,11 @@
 """Closed-form entropies and exact D = W + S densities against quadrature.
 
-The library evaluates the two-rate sum entropy, the Erlang entropy and the
-inter-departure densities of the shipped service laws in closed form.  The
-oracles here are the quadratures those closed forms replaced: the certified
-adaptive quadrature of -f log f (kept only in this file), the composite
-Gauss-Legendre entropy of `NumericalConvolution`, the Gauss-Legendre
-convolution `oracles.gl_sum_log_pdf`, and scipy.stats.
+The library evaluates the two-rate sum entropy, the uniform sum entropy,
+the Erlang entropy and the inter-departure densities of the shipped service
+laws in closed form.  The oracles here are the quadratures those closed
+forms replaced: the certified adaptive quadrature of -f log f (kept only in
+this file), the composite Gauss-Legendre entropy of `NumericalConvolution`,
+the Gauss-Legendre convolution `oracles.gl_sum_log_pdf`, and scipy.stats.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from oracles import gl_sum_log_pdf, two_rate_quantile
+from oracles import gl_sum_log_pdf, support, two_rate_quantile
 from timingq import (
     Erlang,
     Exponential,
@@ -193,7 +193,7 @@ def test_exact_exponential_sum_density_matches_fallback(lam, ratio):
 def test_exact_densities_vanish_below_support():
     for service in (Erlang(2, 2.0), Uniform(0.5, 1.5), Exponential(1.0)):
         conv = NumericalConvolution(0.7, service)
-        lo = service.support()[0]
+        lo = support(service)[0]
         assert conv.log_pdf(lo) == -math.inf
         assert np.all(conv.log_pdf(np.array([-1.0, lo])) == -math.inf)
 
@@ -205,20 +205,82 @@ def test_exact_density_scalar_in_scalar_out():
     assert value == conv.log_pdf(np.array([1.3]))[0]
 
 
+def test_uniform_sum_density_survives_underflow_of_lam_width():
+    # lam (m - lo) underflows to 0, where log(1 - e^(-x)) would read log 0;
+    # log f = log lam + log(hi - lo) - lam (d - hi) - log(hi - lo)
+    lam = 1e-200
+    conv = NumericalConvolution(lam, Uniform(0.0, 1e-200))
+    assert conv.log_pdf(1e199) == pytest.approx(math.log(lam) - 0.1, rel=1e-15)
+    assert conv.log_pdf(1e-300) == pytest.approx(
+        math.log(lam) + math.log(1e-300) - math.log(1e-200), rel=1e-15)
+    # where the product does not underflow, the density keeps its old form
+    d = np.array([0.3, 1.0, 2.5, 40.0])
+    lam, lo, hi = 0.456, 0.0, 2.0
+    m = np.minimum(d, hi)
+    ref = (np.log(-np.expm1(-lam * (m - lo))) - lam * (d - m) - math.log(hi - lo))
+    assert np.array_equal(NumericalConvolution(lam, Uniform(lo, hi)).log_pdf(d), ref)
+
+
 # --------------------------------------------------------- uniform entropy
+
+def _uniform_quadrature_entropy(conv):
+    service = conv.service
+    upper = conv.quantile_bound(1.0 - TAIL_MASS)
+    tail = TAIL_MASS * (abs(float(conv.log_pdf(upper))) + 2.0)
+    ref, _ = _entropy_quad(conv.log_pdf, upper,
+                           points=(service.lo, service.hi), tail_estimate=tail)
+    return ref
+
 
 @pytest.mark.parametrize("service", [Uniform(0.5, 1.5), Uniform(0.9, 1.1),
                                      Uniform(5.0, 5.001)], ids=str)
 def test_uniform_sum_entropy_with_positive_lo_matches_quadrature(service):
-    # D's support starts at lo > 0, where -f log f has an x log x edge that
-    # the panels must resolve at every load
+    # D's support starts at lo > 0, where -f log f has an x log x edge
     for rho in np.geomspace(0.01, 100.0, 9):
         conv = NumericalConvolution(rho / service.mean(), service)
-        upper = conv.quantile_bound(1.0 - TAIL_MASS)
-        tail = TAIL_MASS * (abs(float(conv.log_pdf(upper))) + 2.0)
-        ref, _ = _entropy_quad(conv.log_pdf, upper,
-                               points=(service.lo, service.hi), tail_estimate=tail)
+        ref = _uniform_quadrature_entropy(conv)
         assert abs(conv.entropy() - ref) <= ENTROPY_ABS_TOL
+
+
+@PROPERTY
+@given(lam=st.floats(1e-2, 1e2), lo=st.floats(0.0, 5.0), width=st.floats(1e-3, 50.0))
+@example(lam=1e-2, lo=0.0, width=1e-3)
+@example(lam=1e2, lo=5.0, width=50.0)
+@example(lam=1.0, lo=0.0, width=2.0)
+def test_uniform_sum_entropy_matches_quadrature(lam, lo, width):
+    conv = NumericalConvolution(lam, Uniform(lo, lo + width))
+    assert abs(conv.entropy() - _uniform_quadrature_entropy(conv)) <= ENTROPY_ABS_TOL
+
+
+@PROPERTY
+@given(x=st.floats(1e-12, 1e-4), lam=st.floats(1e-3, 1e3), lo=st.floats(0.0, 5.0))
+def test_uniform_sum_entropy_small_width_limit(x, lam, lo):
+    # h = 1 - log lam + x/4 + O(x^2), x = lam (hi - lo): the service adds
+    # little to the idle time, and the closed form must not cancel
+    service = Uniform(lo, lo + x / lam)
+    x = lam * (service.hi - service.lo)
+    h = NumericalConvolution(lam, service).entropy()
+    assert abs(h - (1.0 - math.log(lam) + x / 4.0)) <= (
+        x * x + 1e-15 * max(1.0, abs(math.log(lam))))
+
+
+@PROPERTY
+@given(x=st.floats(30.0, 1e4), lam=st.floats(1e-2, 1e2))
+@example(x=1e4, lam=1.0)
+def test_uniform_sum_entropy_wide_width_limit(x, lam):
+    # h = log L + (pi^2/6 - Li2(e^(-x)))/x; e^(-x) underflows past x ~ 745
+    service = Uniform(1.0, 1.0 + x / lam)
+    width = service.hi - service.lo
+    h = NumericalConvolution(lam, service).entropy()
+    assert math.isfinite(h)
+    assert abs(h - (math.log(width) + math.pi ** 2 / (6.0 * lam * width))) <= 1e-12
+
+
+def test_uniform_sum_entropy_when_lam_width_underflows():
+    # lam (hi - lo) = 1e-400 underflows to 0: D is the idle time alone
+    lam = 1e-200
+    h = NumericalConvolution(lam, Uniform(0.0, 1e-200)).entropy()
+    assert h == 1.0 - math.log(lam)
 
 
 # ------------------------------------------------------------------ Erlang
