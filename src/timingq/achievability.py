@@ -79,7 +79,8 @@ class InfoDensityReport:
 
     densities holds the per-trial values in trial order (failures
     excluded); mean and stderr summarize them, and tail_fraction is the
-    share of trials at or below target - gamma.
+    share of trials at or below target - gamma.  All three are nan when
+    every trial failed.
     """
 
     lam: float
@@ -97,14 +98,18 @@ class InfoDensityReport:
 
     def __post_init__(self):
         kept = self.densities
-        if kept.size and np.all(np.isposinf(kept)):
+        if not kept.size:
+            self.mean = self.stderr = self.tail_fraction = math.nan
+        elif np.all(np.isposinf(kept)):
             # noiseless (point-mass) service: the density diverges
-            self.mean, self.stderr, self.tail_fraction = math.inf, 0.0, 0.0
-            return
-        if kept.size:
+            self.mean = math.inf
+        else:
             self.mean = math.fsum(kept.tolist()) / kept.size
             if kept.size > 1:
-                self.stderr = float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
+                # scaled by a power of two (exactly) so the squares cannot overflow
+                scale = 2.0 ** -math.frexp(float(np.max(np.abs(kept))))[1]
+                self.stderr = (float(np.std(kept * scale, ddof=1)) / scale
+                               / math.sqrt(kept.size))
             self.tail_fraction = float(np.mean(kept <= self.target - self.gamma))
 
     def as_dict(self) -> dict:

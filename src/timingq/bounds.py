@@ -135,7 +135,8 @@ def cas_bound(lam: float, service) -> float:
         raise ValueError(f"arrival rate must be positive, got {lam}")
     if isinstance(service, Deterministic):
         return math.inf
-    gain = NumericalConvolution(lam, service).entropy() - service.entropy()
+    # a mutual information: a quadrature within its tolerance below 0 reads 0
+    gain = max(NumericalConvolution(lam, service).entropy() - service.entropy(), 0.0)
     return gain / (1.0 / lam + service.mean())
 
 

@@ -5,6 +5,9 @@ embeds its full configuration (seed included) in the output, and the same
 configuration always produces byte-identical output.  Exit codes: 0 on
 success, 1 on validation failure (the message names the offending field),
 2 on numerical non-convergence.
+
+Rate and count flags are checked by their argparse types as they are
+parsed, so a bad value exits 1 even where the command ignores the flag.
 """
 
 from __future__ import annotations
@@ -103,12 +106,20 @@ def parse_int_list(text: str, field: str) -> list[int]:
     return values
 
 
-def _require_positive(value: float, field: str) -> float:
-    # a rate whose reciprocal overflows makes every mean duration infinite
-    if value is None or not 0 < value < math.inf or not math.isfinite(1.0 / value):
-        raise ValidationError(
-            f"{field}: must be positive and finite with a finite reciprocal, "
-            f"got {value}")
+def rate(text: str) -> float:
+    # an argparse type: --lam and --mu are the rates of exponential laws,
+    # which check them
+    try:
+        return Exponential(float(text)).rate
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def count(text: str) -> int:
+    # an argparse type, so named for its "invalid count value: '1.5'" message
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -131,7 +142,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("bounds", help="tabulate normalized bound curves")
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--mu", type=rate, required=True)
     p.add_argument("--rho", default="0.05:10:200",
                    help="grid as lo:hi:count (default 0.05:10:200)")
     p.add_argument("--log", action="store_true", help="log-spaced grid")
@@ -142,75 +153,71 @@ def build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("optimum", help="maximize the normalized rate over rho")
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--mu", type=rate, required=True)
     p.add_argument("--bracket", default="0.01:2",
                    help="search interval lo:hi in rho (default 0.01:2)")
     p.add_argument("--tol", type=float, default=1e-6)
     add_common(p)
 
     p = sub.add_parser("simulate", help="run one queue trace, emit CSV")
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=rate, default=None,
                    help="Poisson arrival rate")
     p.add_argument("--service", default=None,
                    help="service as kind:params")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--mu", type=rate, default=None,
                    help="shorthand for --service exponential:MU")
-    p.add_argument("--n", type=int, default=None, help="departures past the zeroth")
+    p.add_argument("--n", type=count, default=None, help="departures past the zeroth")
     p.add_argument("--fixture", default=None,
                    help="JSON file with explicit arrival_gaps/service_times/n")
     add_common(p)
 
     p = sub.add_parser("infodensity",
                        help="Monte Carlo information-density reports")
-    p.add_argument("--lam", type=float, required=True)
+    p.add_argument("--lam", type=rate, required=True)
     p.add_argument("--service", default=None,
                    help="service as kind:params (default exponential:MU)")
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=rate, default=None)
     p.add_argument("--n", required=True,
                    help="comma-separated schedule, e.g. 1000,10000")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=count, default=100)
     p.add_argument("--target", type=float, default=None,
                    help="rate to test (default: achievable rate at lam, mu)")
     p.add_argument("--gamma", type=float, default=None,
                    help="slack below target (default 5%% of target)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=count, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
 
     p = sub.add_parser("decode", help="decode-error-rate experiments")
     p.add_argument("--M", required=True, help="comma-separated message counts")
     p.add_argument("--n", required=True, help="comma-separated codeword lengths")
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--lam", type=rate, required=True)
+    p.add_argument("--mu", type=rate, required=True)
+    p.add_argument("--trials", type=count, default=200)
+    p.add_argument("--threads", type=count, default=1)
     add_common(p)
 
     return parser
 
 
-def _service_from_args(args, default_mu=None):
+def _service_from_args(args):
     if args.service is not None and args.mu is not None:
         raise ValidationError("--service/--mu: give one, not both")
     if args.service is not None:
         return parse_service(args.service)
-    mu = args.mu if args.mu is not None else default_mu
-    if mu is None:
+    if args.mu is None:
         raise ValidationError("--service: required (or give --mu)")
-    _require_positive(mu, "--mu")
-    return Exponential(mu)
+    return Exponential(args.mu)
 
 
-def _config_dict(args, skip=("out", "threads")) -> dict:
+def _config_dict(args) -> dict:
     # threads is excluded: it is an execution knob that, by the per-trial
     # seeding scheme, cannot change any result; embedding it would make
     # otherwise byte-identical outputs differ
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in ("out", "threads")}
 
 
 def _cmd_bounds(args) -> str:
-    _require_positive(args.mu, "--mu")
     grid = parse_grid(args.rho, args.log)
     if not math.isfinite(float(grid[-1]) * args.mu):
         raise ValidationError(
@@ -232,18 +239,14 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_optimum(args) -> str:
-    _require_positive(args.mu, "--mu")
     parts = args.bracket.split(":")
     if len(parts) != 2:
         raise ValidationError(f"--bracket: expected lo:hi, got {args.bracket!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ValidationError(f"--bracket: {exc}") from exc
     if not 0 < args.tol < math.inf:
         raise ValidationError(f"--tol: must be positive and finite, got {args.tol}")
-    try:
-        report = bounds.maximize_rate(args.mu, bracket=(lo, hi), tol=args.tol)
+    try:  # a malformed number or a bracket maximize_rate refuses
+        bracket = (float(parts[0]), float(parts[1]))
+        report = bounds.maximize_rate(args.mu, bracket=bracket, tol=args.tol)
     except ValueError as exc:
         raise ValidationError(f"--bracket: {exc}") from exc
     payload = {"config": _config_dict(args), **report.as_dict()}
@@ -267,9 +270,6 @@ def _cmd_simulate(args) -> str:
     else:
         if args.lam is None or args.n is None:
             raise ValidationError("--lam, --n: required without --fixture")
-        _require_positive(args.lam, "--lam")
-        if args.n < 1:
-            raise ValidationError(f"--n: must be at least 1, got {args.n}")
         service = _service_from_args(args)
         # per departure: its CSV row, and the arrivals it admits or drops
         _require_budget("--n, --lam, --service/--mu", args.n,
@@ -281,13 +281,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_infodensity(args) -> str:
-    _require_positive(args.lam, "--lam")
     service = _service_from_args(args)
     schedule = parse_int_list(args.n, "--n")
-    if args.trials < 1:
-        raise ValidationError(f"--trials: must be positive, got {args.trials}")
-    if args.threads < 1:
-        raise ValidationError(f"--threads: must be positive, got {args.threads}")
     target = args.target
     if target is None:
         target = bounds.rate_R(args.lam, 1.0 / service.mean())
@@ -312,12 +307,6 @@ def _cmd_infodensity(args) -> str:
 
 
 def _cmd_decode(args) -> str:
-    _require_positive(args.lam, "--lam")
-    _require_positive(args.mu, "--mu")
-    if args.trials < 1:
-        raise ValidationError(f"--trials: must be positive, got {args.trials}")
-    if args.threads < 1:
-        raise ValidationError(f"--threads: must be positive, got {args.threads}")
     Ms, ns = parse_int_list(args.M, "--M"), parse_int_list(args.n, "--n")
     try:
         cells = achievability._broadcast_schedules(Ms, ns)

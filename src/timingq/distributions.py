@@ -73,13 +73,14 @@ def _maybe_scalar(out, scalar):
 
 def _require_finite_mean(law) -> None:
     # an infinite mean service time never ends: the simulator would wait
-    # forever for an infinite departure epoch, and 1/mean is a zero rate
+    # forever for an infinite departure epoch, and 1/mean is a zero rate;
+    # a mean whose reciprocal overflows is an infinite rate
     try:
         mean = law.mean()
     except OverflowError:  # an Erlang shape too large for a float
         mean = math.inf
-    if not math.isfinite(mean):
-        raise ValueError(f"the mean of {law!r} overflows")
+    if not 0 < mean < math.inf or not 1.0 / mean < math.inf:
+        raise ValueError(f"the mean of {law!r} or its reciprocal overflows")
 
 
 @lru_cache(maxsize=8)
@@ -89,11 +90,12 @@ def _gl_rule(order: int):
 
 
 def _neg_f_log_f(log_pdf, x):
-    """-f(x) log f(x) with the convention 0 log 0 = 0, vectorized."""
+    """-f(x) log f(x) with the convention 0 log 0 = 0, vectorized; a nan
+    log-density stays nan, so a sum over it cannot certify."""
     lp = log_pdf(x)
     out = np.zeros_like(lp)
-    finite = np.isfinite(lp)
-    out[finite] = -np.exp(lp[finite]) * lp[finite]
+    mass = lp != -np.inf
+    out[mass] = -np.exp(lp[mass]) * lp[mass]
     return out
 
 
@@ -142,6 +144,7 @@ class Deterministic:
     def __post_init__(self):
         if not 0 < self.value < math.inf:
             raise ValueError(f"value must be positive and finite, got {self.value}")
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return self.value
@@ -324,6 +327,7 @@ def _erlang_sum_log_pdf(lam, service, d):
     #        = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; (beta - lam) d),
     # the second by Kummer's transformation.  Taking the form whose 1F1
     # argument is nonpositive keeps 1F1 in (0, 1] and no factor overflows.
+    # Past x = 1e20 k^2, where scipy's may read 0 or nan, 1F1(1; k+1; -x) = k/x.
     k, beta = service.shape, service.rate
     out = np.full(d.shape, -np.inf)
     pos = d > 0
@@ -332,7 +336,10 @@ def _erlang_sum_log_pdf(lam, service, d):
     if beta >= lam:
         out[pos] = front - lam * dp + np.log(hyp1f1(k, k + 1, (lam - beta) * dp))
     else:
-        out[pos] = front - beta * dp + np.log(hyp1f1(1, k + 1, (beta - lam) * dp))
+        far = dp > 1e20 * k * k / (lam - beta)
+        log_m = np.log(hyp1f1(1, k + 1, (beta - lam) * np.where(far, 0.0, dp)))
+        log_m[far] = math.log(k) - math.log(lam - beta) - np.log(dp[far])
+        out[pos] = front - beta * dp + log_m
     return out
 
 
@@ -433,6 +440,6 @@ class NumericalConvolution:
         tail_lp = float(self.log_pdf(upper))
         tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
         err = abs(fine - coarse) + tail
-        if err > abs_tol:
+        if not err <= abs_tol:
             raise QuadratureError("convolution entropy did not converge", err)
         return fine

@@ -9,6 +9,7 @@ from timingq import (
     Deterministic,
     Erlang,
     Exponential,
+    InfoDensityReport,
     decode_rate_experiment,
     empirical_liminf,
     expected_decode_time,
@@ -97,6 +98,30 @@ def test_point_mass_service_density_diverges():
     assert rep.mean == math.inf
     assert rep.stderr == 0.0
     assert rep.tail_fraction == 0.0
+
+
+def _report(densities):
+    return InfoDensityReport(lam=LAM, mu=1.0, service_kind="Exponential", n=10,
+                             trials=3, target=RATE, gamma=0.05 * RATE,
+                             densities=np.asarray(densities, dtype=float))
+
+
+def test_report_summaries_of_few_or_no_survivors():
+    none = _report([])
+    assert all(math.isnan(v) for v in (none.mean, none.stderr, none.tail_fraction))
+    one = _report([0.5])
+    assert (one.mean, one.stderr, one.tail_fraction) == (0.5, 0.0, 0.0)
+
+
+def test_report_stderr_is_scale_exact():
+    # the stderr is taken on values scaled by a power of two: bit for bit
+    # the unscaled result where that is finite, and finite where it is not
+    rng = np.random.default_rng(8)
+    for values in (rng.normal(0.3, 0.05, 40), rng.normal(-2.0, 7.0, 5), [1.0, 3.0]):
+        ref = float(np.std(values, ddof=1)) / math.sqrt(len(values))
+        assert _report(values).stderr == ref
+    huge = _report([8e249, 9e249, 7.5e249]).stderr
+    assert huge == pytest.approx(_report([8.0, 9.0, 7.5]).stderr * 1e249, rel=1e-12)
 
 
 def test_general_service_beats_exponential_rate():

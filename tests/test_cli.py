@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from timingq import Erlang, Exponential, Uniform
 
 
 HAND_ROWS = "0,0,2.5,,2.5,2.5\n1,3,1.0,0.5,1.5,4.0\n"
+HAND_TRACE = os.path.join(os.path.dirname(__file__), "fixtures", "hand_trace.json")
 
 
 @pytest.fixture()
@@ -58,7 +60,9 @@ def test_parse_service_rejects_garbage():
                  "exp:inf", "det:inf", "uniform:0:inf", "erlang:2:inf",
                  # finite parameters whose mean overflows
                  "exp:1e-320", "erlang:2:1e-320", "uniform:1e308:1.7e308",
-                 f"erlang:{10**400}:1"):
+                 f"erlang:{10**400}:1",
+                 # a mean that underflows, or whose reciprocal overflows
+                 "uniform:0:5e-324", "det:5e-324", "exp:1.7976931348623157e308"):
         with pytest.raises(ValidationError):
             parse_service(text)
 
@@ -247,6 +251,30 @@ def test_infodensity_json_format(tmp_path):
     assert 0.0 <= data["rows"][0]["tail_fraction"] <= 1.0
 
 
+def test_infodensity_with_every_trial_failed_reports_nan(tmp_path):
+    # every sampled departure lands where the density underflows
+    argv = ["infodensity", "--lam", "1e-300", "--service", "erlang:2:1e300",
+            "--n", "10", "--trials", "3"]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text().endswith("\nn,mean,stderr,tail_fraction\n10,nan,nan,nan\n")
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["failed_trials"] == 3
+    assert all(math.isnan(row[k]) for k in ("mean", "stderr", "tail_fraction"))
+
+
+def test_infodensity_stderr_stays_finite_at_huge_densities(tmp_path):
+    # densities near 1e249 have squares past the float range
+    out = tmp_path / "x.json"
+    assert main(["infodensity", "--lam", "1e250", "--service", "uniform:0:1e-250",
+                 "--n", "10", "--trials", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["failed_trials"] == 0
+    assert 0.0 < row["stderr"] < math.inf and math.isfinite(row["mean"])
+
+
 def test_decode_json(tmp_path):
     out = tmp_path / "decode.json"
     rc = main(["decode", "--M", "4", "--lam", "0.456", "--mu", "1",
@@ -326,6 +354,16 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert flag in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "x.csv")]) == 1
+    capsys.readouterr()
+    # every rate given is checked, even one the fixture makes unused
+    for flag, value in (("--lam", "0"), ("--mu", "nan")):
+        assert main(["simulate", "--fixture", HAND_TRACE, flag, value,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    # 1/mu is finite but its reciprocal is not: an infinite service rate
+    assert main(["infodensity", "--lam", "1", "--mu", "1.7976931348623157e308",
+                 "--n", "20", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--mu" in capsys.readouterr().err
     assert main(["decode", "--M", "0", "--lam", "1", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
     capsys.readouterr()
@@ -370,6 +408,13 @@ def test_bounds_at_extreme_load_exits_zero(tmp_path):
                  "uniform:0:2", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
     assert all(float(r[1]) >= 0.0 and float(r[3]) >= 0.0 for r in rows)
+    # with Erlang service, scipy's 1F1 in the departure density reads 0 or
+    # nan at these loads; the entropy must neither certify that nor go below h(S)
+    for grid in ("1:1e200:3", "1:1e308:3"):
+        assert main(["bounds", "--mu", "1", "--rho", grid, "--service",
+                     "erlang:2:2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+        assert all(0.0 <= float(r[3]) <= float(rows[0][3]) for r in rows)
 
 
 def test_bounds_uniform_service_with_positive_lo_exits_zero(tmp_path):
@@ -511,16 +556,24 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
 
 BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e400", "abc", ""]
 
+# Sizes from each of these up exit 1 under the real memory budget, whatever
+# the other flags: simulate --n, infodensity --n/--trials, decode --M/--n/--trials
+OVER_BUDGET = {("simulate", "n"): 2**22, ("infodensity", "n"): 2**25,
+               ("infodensity", "trials"): 2**25, ("decode", "M"): 2**20,
+               ("decode", "n"): 2**26, ("decode", "trials"): 2**28}
+
+# the budget the fuzz runs under: an accepted run stays small whatever rates
+# are drawn, and a run over it still exits 1 before any work
+FUZZ_BUDGET = 2**24
+
 
 def _argv(command, *slots):
-    """argv for `command`: one argv fragment is drawn from each slot (an
-    empty one adds nothing), then at most one fragment is dropped or has its
-    value replaced by a malformed or non-finite number.
-
-    Numbers that are valid stay near 1: a large rate ratio or service time
-    asks the simulator and the decoder for that many more arrivals.
+    """argv for `command`: one fragment is drawn from each slot (a strategy
+    for [flag, value], [flag] or []), then at most one fragment is dropped
+    or has its value replaced by a malformed or non-finite number.  Each
+    fragment is passed as one `--flag=value` word, so a value may start
+    with "-".
     """
-    drawn = st.tuples(*(st.sampled_from(slot) for slot in slots))
     spoil = st.one_of(st.none(), st.tuples(
         st.integers(0, len(slots) - 1), st.sampled_from([None] + BAD_NUMBERS)))
 
@@ -529,44 +582,72 @@ def _argv(command, *slots):
         if spoiled is not None:
             i, bad = spoiled
             fragments[i] = [] if bad is None else fragments[i][:1] + [bad]
-        return [command] + [part for fragment in fragments for part in fragment]
+        return [command] + ["=".join(fragment) for fragment in fragments if fragment]
 
-    return st.tuples(drawn, spoil).map(build)
+    return st.tuples(st.tuples(*slots), spoil).map(build)
 
 
 def _option(name, *values):
-    return [[f"--{name}", value] for value in values]
+    return st.sampled_from([[f"--{name}", value] for value in values])
+
+
+def _maybe(slot):
+    return st.one_of(st.just([]), slot)
+
+
+def _float(name, *typical):
+    # any float: subnormals, +-1e308, +-inf, nan and negatives
+    values = st.one_of(st.sampled_from(typical), st.floats()) if typical else st.floats()
+    return values.map(lambda v: [f"--{name}", repr(v)])
+
+
+def _bad_size(command, name):
+    # a size that must exit 1: below 1, or over the memory budget
+    over = OVER_BUDGET.get((command, name))
+    below = st.integers(-2**63, 0)
+    return below if over is None else st.one_of(below, st.integers(over, 2**63))
+
+
+def _size(command, name, *valid):
+    values = st.one_of(st.sampled_from(valid), _bad_size(command, name))
+    return values.map(lambda v: [f"--{name}", str(v)])
 
 
 # uniform:0.999:1.001 has mean 1 and lam (hi - lo) near 1e-3, the small end
 # of the uniform sum entropy's closed form
-LAWS = (_option("mu", "1", "2")
-        + _option("service", "erlang:2:2", "uniform:0:2", "uniform:0.999:1.001",
-                  "det:1", "exp:inf", "uniform:0:inf", "gamma:1"))
-BOUNDS = _argv("bounds", _option("mu", "1"),
+SERVICES = ("erlang:2:2", "uniform:0:2", "uniform:0.999:1.001", "det:1",
+            "exp:inf", "uniform:0:inf", "gamma:1")
+LAWS = st.one_of(_float("mu", 1.0, 2.0), _option("service", *SERVICES))
+BOUNDS = _argv("bounds", _float("mu", 1.0),
                _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3"),
-               [[]] + _option("service", "erlang:2:2", "uniform:0:2",
+               _maybe(_option("service", "erlang:2:2", "uniform:0:2",
                               "uniform:0.999:1.001", "det:1", "exp:2",
-                              "uniform:0:inf"),
-               [[], ["--log"]], [[], ["--no-cas"]])
-OPTIMUM = _argv("optimum", _option("mu", "1", "2"),
+                              "uniform:0:inf")),
+               _maybe(st.just(["--log"])), _maybe(st.just(["--no-cas"])))
+OPTIMUM = _argv("optimum", _float("mu", 1.0, 2.0),
                 _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3"),
-                [[]] + _option("tol", "1e-3", "1e-300"))
-SIMULATE = _argv("simulate", _option("lam", "0.5", "2"),
-                 _option("n", "1", "5", "0"), LAWS,
-                 [[], [], ["--fixture", "no/such/fixture.json"]])
-INFODENSITY = _argv("infodensity", _option("lam", "0.5", "2"),
-                    _option("n", "20", "20,40", "40,20"), LAWS,
-                    [[]] + _option("trials", "2"),
-                    [[]] + _option("target", "0.1"),
-                    [[]] + _option("gamma", "0.01"),
-                    [[]] + _option("format", "csv", "json", "xml"))
+                _maybe(_float("tol", 1e-3, 1e-300)))
+SIMULATE = _argv("simulate", _float("lam", 0.5, 2.0),
+                 _size("simulate", "n", 1, 5), LAWS,
+                 _maybe(_option("fixture", "no/such/fixture.json")))
+INFODENSITY = _argv("infodensity", _float("lam", 0.5, 2.0),
+                    st.one_of(_option("n", "20", "20,40", "40,20"),
+                              _size("infodensity", "n", 20)), LAWS,
+                    _maybe(_size("infodensity", "trials", 2)),
+                    _maybe(_size("infodensity", "threads", 2)),
+                    _maybe(_float("target", 0.1)),
+                    _maybe(_float("gamma", 0.01)),
+                    _maybe(_option("format", "csv", "json", "xml")))
 # schedules of lengths 1 to 4, which broadcast only at equal lengths or
 # against a single value
-DECODE = _argv("decode", _option("M", "4", "2,3", "3,2,4", "2,4,3,2"),
-               _option("n", "2", "2,5", "5,2,3", "3,2,5,2"),
-               _option("lam", "0.5", "2"), _option("mu", "1", "2"),
-               [[]] + _option("trials", "3"))
+DECODE = _argv("decode",
+               st.one_of(_option("M", "4", "2,3", "3,2,4", "2,4,3,2"),
+                         _size("decode", "M", 4)),
+               st.one_of(_option("n", "2", "2,5", "5,2,3", "3,2,5,2"),
+                         _size("decode", "n", 2)),
+               _float("lam", 0.5, 2.0), _float("mu", 1.0, 2.0),
+               _maybe(_size("decode", "trials", 3)),
+               _maybe(_size("decode", "threads", 2)))
 
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -581,24 +662,50 @@ FIXTURE_TEXTS = st.one_of(
     st.sampled_from(["", "{", "[]", "null", '"x"', "[0, 1]"]))
 
 
-def _run(argv):
-    """Run the CLI in process; hold it to exit 0, 1 or 2 and, on failure,
-    to one "error:" line on stderr and nothing on stdout."""
+def _run(argv, budget=FUZZ_BUDGET):
+    """Run the CLI in process under `budget`; hold it to exit 0, 1 or 2
+    and, on failure, to one "error:" line on stderr and nothing on stdout.
+    Returns the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "MEMORY_BUDGET", budget):
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @FUZZ
 @given(st.one_of(BOUNDS, OPTIMUM, SIMULATE, INFODENSITY, DECODE))
 def test_cli_exits_cleanly_on_any_argv(argv):
     _run(argv)
+
+
+# valid flags around the size under test
+SIZE_BASES = {
+    ("simulate", "n"): ["--lam", "0.5", "--mu", "1"],
+    ("infodensity", "n"): ["--lam", "0.5", "--mu", "1", "--trials", "2"],
+    ("infodensity", "trials"): ["--lam", "0.5", "--mu", "1", "--n", "20"],
+    ("infodensity", "threads"): ["--lam", "0.5", "--mu", "1", "--n", "20"],
+    ("decode", "M"): ["--n", "2", "--lam", "0.5", "--mu", "1"],
+    ("decode", "n"): ["--M", "4", "--lam", "0.5", "--mu", "1"],
+    ("decode", "trials"): ["--M", "4", "--n", "2", "--lam", "0.5", "--mu", "1"],
+    ("decode", "threads"): ["--M", "4", "--n", "2", "--lam", "0.5", "--mu", "1"],
+}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(SIZE_BASES)).flatmap(
+    lambda key: st.tuples(st.just(key), _bad_size(*key))))
+def test_cli_rejects_every_bad_size(case):
+    # under the real budget: a bad size exits 1 before any work
+    (command, name), value = case
+    argv = [command, *SIZE_BASES[command, name], f"--{name}={value}"]
+    rc, _, err = _run(argv, budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and f"--{name}" in err
 
 
 @pytest.fixture(scope="module")
@@ -616,4 +723,5 @@ def test_simulate_exits_cleanly_on_any_fixture(fuzz_fixture, text):
 @FUZZ
 @given(st.one_of(INFODENSITY, DECODE))
 def test_threads_leave_stdout_alone(argv):
-    assert _run(argv + ["--threads", "1"]) == _run(argv + ["--threads", "2"])
+    # stdout and the exit code; a budget message may name the thread count
+    assert _run(argv + ["--threads", "1"])[:2] == _run(argv + ["--threads", "2"])[:2]

@@ -221,6 +221,27 @@ def test_convolution_entropy_matches_two_rate_quadrature():
         assert abs(a - b) < 2e-8
 
 
+def test_erlang_sum_density_far_past_the_service_rate():
+    # for lam >> beta the idle time vanishes next to the service, so the
+    # W + S density tends to the Erlang one; scipy's 1F1 factor read 0 or
+    # nan here, which made the log-density -inf or nan
+    # at 1e19 the points past d = 40 take the k/x form and the others 1F1
+    d = np.array([1e-3, 0.5, 1.0, 3.0, 40.0, 100.0])
+    for lam in (1e19, 1e150, 1e200, 1e308):
+        conv = NumericalConvolution(lam, Erlang(2, 2.0))
+        assert np.allclose(conv.log_pdf(d), Erlang(2, 2.0).log_pdf(d),
+                           rtol=0, atol=1e-12)
+        assert conv.entropy() == pytest.approx(Erlang(2, 2.0).entropy(), abs=1e-8)
+
+
+def test_entropy_refuses_to_certify_a_nan_density(monkeypatch):
+    # a nan log-density is not zero mass: the panels cannot certify it
+    conv = NumericalConvolution(0.5, Erlang(2, 2.0))
+    monkeypatch.setattr(conv, "log_pdf", lambda d: np.full(np.shape(d), math.nan))
+    with pytest.raises(QuadratureError):
+        conv.entropy()
+
+
 def test_densities_integrate_to_one():
     models = [
         NumericalConvolution(0.5, Exponential(1.0)),
