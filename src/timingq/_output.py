@@ -8,6 +8,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 OUTDIR_ENV = "TIMINGQ_OUTDIR"
 
 
@@ -20,45 +22,36 @@ def config_comment(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True)
 
 
-def csv_text(columns, rows, config: dict | None = None) -> str:
+def cells(values):
+    """CSV cells of float values: their shortest round-trip reprs, which
+    spell the specials nan, inf and -inf."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def csv_text(header, columns, config: dict | None = None) -> str:
     """CSV with an optional leading '# {json config}' comment line.
 
-    Cells are strings, written as they are, ints, or floats in their
-    shortest round-trip repr, which spells the specials nan, inf and -inf.
+    `columns` are equal-length iterables of cell strings, one per header
+    name, written as they are.
     """
     lines = []
     if config is not None:
         lines.append(config_comment(config))
-    lines.append(",".join(columns))
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*columns)))
     lines.append("")  # the trailing newline, without copying the text again
     return "\n".join(lines)
 
 
-def _cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, int):
-        return str(cell)
-    return repr(float(cell))
-
-
-def resolve_out_path(out: str | None) -> Path | None:
-    """Apply the output-directory environment default to a relative path."""
+def emit(text: str, out: str | None) -> None:
+    """Write to stdout, or to `out` (creating parents); a relative `out`
+    resolves under $TIMINGQ_OUTDIR when that is set."""
     if out is None:
-        return None
+        print(text, end="")
+        return
     path = Path(out)
     base = os.environ.get(OUTDIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def emit(text: str, out: str | None) -> None:
-    """Write to the resolved path (creating parents) or stdout."""
-    path = resolve_out_path(out)
-    if path is None:
-        print(text, end="")
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)

@@ -198,8 +198,9 @@ def empirical_liminf(lam: float, service, n_schedule, trials: int,
 
 
 def liminf_csv(reports, config: dict | None = None) -> str:
-    rows = [(r.n, r.mean, r.stderr, r.tail_fraction) for r in reports]
-    return _output.csv_text(["n", "mean", "stderr", "tail_fraction"], rows, config)
+    header = ["n", "mean", "stderr", "tail_fraction"]
+    n, *floats = ([getattr(r, name) for r in reports] for name in header)
+    return _output.csv_text(header, [map(repr, n), *map(_output.cells, floats)], config)
 
 
 def _broadcast_schedules(M_schedule, n_schedule):

@@ -172,10 +172,9 @@ class BoundCurve:
             raise ValueError("achievable rate exceeded the universal bound")
 
     def to_csv(self, config: dict | None = None) -> str:
-        rows = zip(self.rho_grid, self.rate_R_norm,
-                   self.universal_norm, self.cas_norm)
-        return _output.csv_text(
-            ["rho", "rate_R_norm", "universal_norm", "cas_norm"], rows, config)
+        columns = (self.rho_grid, self.rate_R_norm, self.universal_norm, self.cas_norm)
+        return _output.csv_text(["rho", "rate_R_norm", "universal_norm", "cas_norm"],
+                                map(_output.cells, columns), config)
 
 
 def sweep(rho_grid, mu: float, service=None, include_cas: bool = True) -> BoundCurve:

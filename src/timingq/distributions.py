@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaincinv, gammaln, hyp1f1, psi
+from scipy.special import gammainc, gammaincinv, hyp1f1, psi
 
 __all__ = [
     "QuadratureError",
@@ -89,10 +89,9 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-def _neg_f_log_f(log_pdf, x):
-    """-f(x) log f(x) with the convention 0 log 0 = 0, vectorized; a nan
-    log-density stays nan, so a sum over it cannot certify."""
-    lp = log_pdf(x)
+def _neg_f_log_f(lp):
+    """-f log f from log-density values lp, with the convention 0 log 0 = 0;
+    a nan log-density stays nan, so a sum over it cannot certify."""
     out = np.zeros_like(lp)
     mass = lp != -np.inf
     out[mass] = -np.exp(lp[mass]) * lp[mass]
@@ -170,7 +169,11 @@ class Deterministic:
 
 @dataclass(frozen=True)
 class Erlang:
-    """Erlang duration: sum of `shape` iid exponentials of the given rate."""
+    """Erlang duration: sum of `shape` iid exponentials of the given rate.
+
+    The shape is an integer from 1 to 2**53, past which float(shape), and
+    with it every density and entropy here, is inexact.
+    """
 
     shape: int
     rate: float
@@ -181,6 +184,9 @@ class Erlang:
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
         _require_finite_mean(self)
+        if self.shape > 2**53:
+            raise ValueError(f"shape must be at most 2**53, the largest at which "
+                             f"float(shape) is exact, got {self.shape}")
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -198,14 +204,14 @@ class Erlang:
         else:
             ok = x > 0
             out[ok] = (k * math.log(beta) + (k - 1) * np.log(x[ok])
-                       - beta * x[ok] - gammaln(k))
+                       - beta * x[ok] - math.lgamma(k))
         return _maybe_scalar(out, scalar)
 
     def entropy(self) -> float:
         # gamma entropy k - log(rate) + log Gamma(k) + (1 - k) psi(k); the
         # tests check it against scipy.stats and a certified quadrature
         k = self.shape
-        return float(k - math.log(self.rate) + gammaln(k) + (1 - k) * psi(k))
+        return float(k - math.log(self.rate) + math.lgamma(k) + (1 - k) * psi(k))
 
     def ppf(self, q):
         q, scalar = _as_float_array(q)
@@ -323,23 +329,43 @@ def _uniform_sum_log_pdf(lam, service, d):
 
 
 def _erlang_sum_log_pdf(lam, service, d):
-    # f_D(d) = lam beta^k d^k e^(-lam d) / k! * 1F1(k; k+1; (lam - beta) d)
-    #        = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; (beta - lam) d),
-    # the second by Kummer's transformation.  Taking the form whose 1F1
-    # argument is nonpositive keeps 1F1 in (0, 1] and no factor overflows.
-    # Past x = 1e20 k^2, where scipy's may read 0 or nan, 1F1(1; k+1; -x) = k/x.
+    # By Kummer's transformation, with x = (beta - lam) d,
+    #   f_D(d) = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; x).
+    # Past x = k, 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), P the regularized
+    # lower incomplete gamma function, which lies in (1/2, 1] there, so
+    #   f_D(d) = lam (beta / (beta - lam))^k e^(-lam d) P(k, x)
+    # has no factor that underflows, and an x that overflows is harmless.
+    # Below x = -(1.25 k + 40) scipy's 1F1 loses digits as k grows and can read
+    # nan past x = -1e12; there, with y = -x, the exact
+    #   1F1(1; k+1; -y) = (k/y) sum_{n<k} (k-1)!/(k-1-n)! (-1/y)^n
+    #                     + (-1)^k k! y^(-k) e^(-y)
+    # has terms falling by a factor 0.8 or more and a last term below e^(-40)
+    # of the first, so its first 200 terms give the sum.
     k, beta = service.shape, service.rate
     out = np.full(d.shape, -np.inf)
     pos = d > 0
     dp = d[pos]
-    front = math.log(lam) + k * math.log(beta) - gammaln(k + 1) + k * np.log(dp)
-    if beta >= lam:
-        out[pos] = front - lam * dp + np.log(hyp1f1(k, k + 1, (lam - beta) * dp))
-    else:
-        far = dp > 1e20 * k * k / (lam - beta)
-        log_m = np.log(hyp1f1(1, k + 1, (beta - lam) * np.where(far, 0.0, dp)))
-        log_m[far] = math.log(k) - math.log(lam - beta) - np.log(dp[far])
-        out[pos] = front - beta * dp + log_m
+    with np.errstate(over="ignore"):
+        x = (beta - lam) * dp
+    high, low = x > k, x < -(1.25 * k + 40.0)
+    mid = ~(high | low)
+    log_f = np.empty_like(dp)
+    if beta > lam:
+        log_f[high] = (math.log(lam) - k * math.log1p(-lam / beta) - lam * dp[high]
+                       + np.log(gammainc(k, x[high])))
+    kummer = math.log(lam) + k * math.log(beta) - math.lgamma(k + 1)
+    dm = dp[mid]
+    log_f[mid] = (kummer + k * np.log(dm) - beta * dm
+                  + np.log(hyp1f1(1, k + 1, x[mid])))
+    if lam > beta:
+        dl, y = dp[low], -x[low]
+        series = np.ones_like(y)
+        for n in range(min(k, 200) - 1, 0, -1):
+            series = 1.0 - (k - n) / y * series
+        # log(k/y) in two logs, since y may overflow
+        log_f[low] = (kummer + (k - 1) * np.log(dl) - beta * dl + math.log(k)
+                      - math.log(lam - beta) + np.log(series))
+    out[pos] = log_f
     return out
 
 
@@ -419,7 +445,8 @@ class NumericalConvolution:
         else by composite Gauss-Legendre panels, whose error estimate is
         the difference between 32- and 64-node evaluations of every panel
         plus the truncated-tail envelope; QuadratureError if it exceeds
-        abs_tol.
+        abs_tol, or if the 64-node panels integrate the density to a mass
+        more than abs_tol from 1.
         """
         exact = _EXACT_SUM_ENTROPY.get(type(self.service))
         if exact is not None:
@@ -428,18 +455,24 @@ class NumericalConvolution:
         # graded toward 0, where the Erlang sum density vanishes like d^k
         edges = np.concatenate([[0.0], np.geomspace(upper * 1e-8, upper, 48)])
 
-        def panel_sum(order):
+        def panel_sums(order):
+            # the integrals of -f log f and of f over the panels
             nodes, weights = _gl_rule(order)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * np.diff(edges)
             x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            vals = _neg_f_log_f(self.log_pdf, x).reshape(len(half), order)
-            return float(np.sum(vals @ weights * half))
+            lp = self.log_pdf(x).reshape(len(half), order)
+            return (float(np.sum(_neg_f_log_f(lp) @ weights * half)),
+                    float(np.sum(np.exp(lp) @ weights * half)))
 
-        coarse, fine = panel_sum(32), panel_sum(64)
+        (coarse, _), (fine, mass) = panel_sums(32), panel_sums(64)
         tail_lp = float(self.log_pdf(upper))
         tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
         err = abs(fine - coarse) + tail
         if not err <= abs_tol:
             raise QuadratureError("convolution entropy did not converge", err)
+        # a density wrong on much of its support can still converge
+        if not abs(mass - 1.0) <= abs_tol:
+            raise QuadratureError("convolution density does not integrate to 1",
+                                  abs(mass - 1.0))
         return fine

@@ -252,17 +252,12 @@ def trace_csv(trace: QueueTrace, config: dict | None = None) -> str:
     Columns are (i, k_i, S_i, W_{i-1}, D_i, departure_epoch); the idle cell
     is empty on row 0, which has no preceding departure.
     """
-    columns = ["i", "k_i", "S_i", "W_{i-1}", "D_i", "departure_epoch"]
-
-    def column(values, dtype=float):
-        return map(repr, np.asarray(values, dtype=dtype).tolist())
-
-    rows = zip(
-        map(repr, range(len(trace.inter_departures))),
-        column(trace.admitted_indices, np.int64),
-        column(trace.service_times),
-        itertools.chain([""], column(trace.idle_times)),
-        column(trace.inter_departures),
-        column(trace.departure_epochs),
-    )
-    return _output.csv_text(columns, rows, config)
+    return _output.csv_text(
+        ["i", "k_i", "S_i", "W_{i-1}", "D_i", "departure_epoch"],
+        [map(repr, range(len(trace.inter_departures))),
+         map(repr, trace.admitted_indices.tolist()),
+         _output.cells(trace.service_times),
+         itertools.chain([""], _output.cells(trace.idle_times)),
+         _output.cells(trace.inter_departures),
+         _output.cells(trace.departure_epochs)],
+        config)

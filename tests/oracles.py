@@ -9,11 +9,15 @@ Gauss-Legendre convolution, the oracle for the exact per-law densities of
 `NumericalConvolution`, over the interval that `support` gives for each
 shipped law.  `two_rate_sf` and `two_rate_quantile` give the survival
 function and quantiles of the two-rate sum law, for the integration limits
-of the entropy oracles.  None of them serves the library itself.
+of the entropy oracles.  `mp_erlang_sum_log_pdf` and
+`mp_erlang_sum_entropy` evaluate the Erlang-service density of D through
+mpmath's 1F1 at 40 digits, and its entropy by mpmath quadrature.  None of
+them serves the library itself.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, optimize
@@ -149,3 +153,34 @@ def two_rate_quantile(lam: float, mu: float, q: float) -> float:
         hi *= 2.0
     return optimize.brentq(lambda d: two_rate_sf(lam, mu, d) - (1.0 - q), 0.0, hi,
                            xtol=1e-12, rtol=8.9e-16)
+
+
+def _mp_erlang_sum_log_pdf(lam, k: int, beta):
+    # f_D(d) = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; (beta - lam) d)
+    lam, beta = mpmath.mpf(lam), mpmath.mpf(beta)
+    front = mpmath.log(lam) + k * mpmath.log(beta) - mpmath.loggamma(k + 1)
+    return lambda d: (front + k * mpmath.log(d) - beta * d
+                      + mpmath.log(mpmath.hyp1f1(1, k + 1, (beta - lam) * d)))
+
+
+def mp_erlang_sum_log_pdf(lam: float, k: int, beta: float, d) -> np.ndarray:
+    """log f_D at the points d > 0 for Erlang(k, beta) service, at 40 digits."""
+    with mpmath.workdps(40):
+        log_pdf = _mp_erlang_sum_log_pdf(lam, k, beta)
+        return np.array([float(log_pdf(mpmath.mpf(float(x)))) for x in np.ravel(d)])
+
+
+def mp_erlang_sum_entropy(lam: float, k: int, beta: float) -> float:
+    """h(W + S) for Erlang(k, beta) service by mpmath quadrature at 20 digits,
+    split at the service's quantiles and over 60 idle means past them."""
+    with mpmath.workdps(20):
+        log_pdf = _mp_erlang_sum_log_pdf(lam, k, beta)
+
+        def neg_f_log_f(d):
+            lf = log_pdf(d)
+            return -mpmath.exp(lf) * lf
+
+        mean, sd = mpmath.mpf(k) / beta, mpmath.sqrt(k) / beta
+        edges = [max(mean + z * sd, 0) for z in (-8, -4, -2, 0, 2, 4, 8)]
+        edges += [edges[-1] + t / mpmath.mpf(lam) for t in (1, 4, 15, 60)]
+        return float(mpmath.quad(neg_f_log_f, [0] + edges))

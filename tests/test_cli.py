@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
+from datetime import timedelta
 from unittest import mock
 
 import numpy as np
@@ -27,7 +30,7 @@ from timingq.cli import (
     parse_int_list,
     parse_service,
 )
-from timingq import Erlang, Exponential, Uniform
+from timingq import Erlang, Exponential, Uniform, achievability
 
 
 HAND_ROWS = "0,0,2.5,,2.5,2.5\n1,3,1.0,0.5,1.5,4.0\n"
@@ -136,12 +139,12 @@ def test_bounds_includes_convolution_column(tmp_path):
         assert abs(float(r[3]) - float(r[1])) < 1e-9
 
 
-def _fresh_interpreter(args) -> bytes:
+def _fresh_interpreter(args, timeout=300) -> bytes:
     """Run python with `args` and src/ on the path; return its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(timingq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, timeout=300)
+                          capture_output=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -251,10 +254,12 @@ def test_infodensity_json_format(tmp_path):
     assert 0.0 <= data["rows"][0]["tail_fraction"] <= 1.0
 
 
-def test_infodensity_with_every_trial_failed_reports_nan(tmp_path):
-    # every sampled departure lands where the density underflows
-    argv = ["infodensity", "--lam", "1e-300", "--service", "erlang:2:1e300",
-            "--n", "10", "--trials", "3"]
+def test_infodensity_with_every_trial_failed_reports_nan(tmp_path, monkeypatch):
+    def zero_density(*args):
+        raise achievability.TrialFailure("zero density at a sampled point")
+
+    monkeypatch.setattr(achievability, "info_density_trial", zero_density)
+    argv = ["infodensity", "--lam", "0.5", "--mu", "1", "--n", "10", "--trials", "3"]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text().endswith("\nn,mean,stderr,tail_fraction\n10,nan,nan,nan\n")
@@ -262,6 +267,29 @@ def test_infodensity_with_every_trial_failed_reports_nan(tmp_path):
     row = json.loads(out.read_text())["rows"][0]
     assert row["failed_trials"] == 3
     assert all(math.isnan(row[k]) for k in ("mean", "stderr", "tail_fraction"))
+
+
+def test_infodensity_with_negligible_service_is_finite(tmp_path):
+    # (beta - lam) d passes 1e300, where the density is lam e^(-lam d): no
+    # trial may fail and no overflow warning may show
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["infodensity", "--lam", "1e-300", "--service", "erlang:2:1e300",
+                     "--n", "10", "--trials", "3", "--format", "json",
+                     "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["failed_trials"] == 0
+    assert all(math.isfinite(row[k]) for k in ("mean", "stderr", "tail_fraction"))
+
+
+def test_infodensity_at_the_largest_erlang_shape_is_quick(tmp_path):
+    # scipy's 1F1(k; k+1; .) takes time growing with k, minutes near 2**53
+    _fresh_interpreter(
+        ["-m", "timingq.cli", "infodensity", "--lam", "1",
+         "--service", "erlang:9007199254740992:9007199254740992",
+         "--n", "5", "--trials", "2", "--out", str(tmp_path / "x.csv")],
+        timeout=30)
 
 
 def test_infodensity_stderr_stays_finite_at_huge_densities(tmp_path):
@@ -315,6 +343,37 @@ def test_output_directory_env(tmp_path, monkeypatch):
     assert (tmp_path / "opt.json").exists()
 
 
+# SHA-256 of the output of small runs with exponential and uniform service,
+# pinned so that a change to the CSV/JSON rendering or to these laws shows
+GOLDEN = {
+    ("simulate", "--lam", "0.456", "--mu", "1", "--n", "200"):
+        "bbe992522fc471a6d8840a5f92a6a53db795ebd4c03e9fef533bbd53b3352b40",
+    ("bounds", "--mu", "1", "--rho", "0.05:10:6"):
+        "cf8b1048ed519da8ca61f60c77ee7070eec758c6f4b3ada1157e429e7b45bb58",
+    ("bounds", "--mu", "1", "--rho", "0.05:10:6", "--no-cas"):
+        "29dc6b22dca2859c05da55a8e16b37e04c4d863c0ca8582624cd02d9eaa3e881",
+    ("infodensity", "--lam", "0.456", "--mu", "1", "--n", "100,1000",
+     "--trials", "3"):
+        "e9d78d533cd9643ee394c66d12c4e39112e9530c37dcc6729e68fec3657699be",
+    ("infodensity", "--lam", "0.456", "--mu", "1", "--n", "100,1000",
+     "--trials", "3", "--format", "json"):
+        "bfb6bc224bc01a313078d5f2523076dbc4f88d5f28cfbcce8e07a09d2387e4ba",
+    ("infodensity", "--lam", "0.456", "--service", "uniform:0:2",
+     "--n", "100,1000", "--trials", "3"):
+        "6b4b0f5f84a46a8a2ee4ca18226b8658c58685a70886e527d2cd95b3032a9db9",
+    ("infodensity", "--lam", "0.456", "--service", "uniform:0:2",
+     "--n", "100,1000", "--trials", "3", "--format", "json"):
+        "aa7d2f7c82d5d70309edd29cac8ccd7b0e38aeddcd237e850d0682274ddcd1f6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_output_bytes_match_pinned_digests(argv, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_validation_failures_exit_one(tmp_path, capsys):
@@ -344,6 +403,18 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     for service in ("exp:1e-320", "erlang:2:1e-320", "uniform:1e308:1.7e308"):
         assert main(["infodensity", "--lam", "1", "--service", service,
                      "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "--service" in capsys.readouterr().err
+    # Erlang shapes past 2**53: numpy cannot cast one of 2**63 or more
+    for argv in (["infodensity", "--lam", "1", "--service",
+                  "erlang:100000000000000000000:1e20", "--n", "20", "--trials", "2"],
+                 ["bounds", "--mu", "1e-20", "--service",
+                  "erlang:100000000000000000000:1", "--rho", "0.2:2:3"],
+                 ["simulate", "--lam", "1", "--service",
+                  "erlang:100000000000000000000:1e20", "--n", "20"],
+                 ["infodensity", "--lam", "1", "--service",
+                  "erlang:9007199254740993:9007199254740993", "--n", "5",
+                  "--trials", "2"]):
+        assert main(argv + ["--out", str(tmp_path / "x.out")]) == 1
         assert "--service" in capsys.readouterr().err
     assert main(["decode", "--M", "4", "--lam", "inf", "--mu", "1", "--n", "2",
                  "--out", str(tmp_path / "x.json")]) == 1
@@ -551,8 +622,9 @@ def test_nonconvergence_exits_two(tmp_path, capsys, monkeypatch):
 
 # ------------------------------------------------ property: the CLI contract
 
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
-                database=None)
+# the deadline fails an example that takes far longer than any valid run
+FUZZ = settings(max_examples=100, deadline=timedelta(seconds=10),
+                derandomize=True, database=None)
 
 BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e400", "abc", ""]
 
@@ -613,10 +685,14 @@ def _size(command, name, *valid):
     return values.map(lambda v: [f"--{name}", str(v)])
 
 
+# Erlang shapes of 1000, 2**40, 2**53 (the largest accepted) and 1e20, past
+# what numpy can cast
+LARGE_ERLANG = ("erlang:1000:1000", "erlang:1099511627776:1099511627776",
+                "erlang:9007199254740992:1", "erlang:100000000000000000000:1e20")
 # uniform:0.999:1.001 has mean 1 and lam (hi - lo) near 1e-3, the small end
 # of the uniform sum entropy's closed form
-SERVICES = ("erlang:2:2", "uniform:0:2", "uniform:0.999:1.001", "det:1",
-            "exp:inf", "uniform:0:inf", "gamma:1")
+SERVICES = ("erlang:2:2", *LARGE_ERLANG, "uniform:0:2", "uniform:0.999:1.001",
+            "det:1", "exp:inf", "uniform:0:inf", "gamma:1")
 LAWS = st.one_of(_float("mu", 1.0, 2.0), _option("service", *SERVICES))
 BOUNDS = _argv("bounds", _float("mu", 1.0),
                _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3"),
@@ -664,11 +740,13 @@ FIXTURE_TEXTS = st.one_of(
 
 def _run(argv, budget=FUZZ_BUDGET):
     """Run the CLI in process under `budget`; hold it to exit 0, 1 or 2
-    and, on failure, to one "error:" line on stderr and nothing on stdout.
-    Returns the exit code, stdout and stderr."""
+    without a RuntimeWarning and, on failure, to one "error:" line on stderr
+    and nothing on stdout.  Returns the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "MEMORY_BUDGET", budget):
+            mock.patch.object(cli, "MEMORY_BUDGET", budget), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc:
@@ -681,6 +759,18 @@ def _run(argv, budget=FUZZ_BUDGET):
 @FUZZ
 @given(st.one_of(BOUNDS, OPTIMUM, SIMULATE, INFODENSITY, DECODE))
 def test_cli_exits_cleanly_on_any_argv(argv):
+    _run(argv)
+
+
+@FUZZ
+@given(st.one_of(
+    _argv("infodensity", _float("lam", 0.5, 1.0, 2.0), _option("n", "20"),
+          _option("service", *LARGE_ERLANG), _option("trials", "2"),
+          _option("target", "0.1")),
+    _argv("simulate", _float("lam", 0.5, 1.0, 2.0), _option("n", "5"),
+          _option("service", *LARGE_ERLANG))))
+def test_cli_exits_cleanly_at_large_erlang_shapes(argv):
+    # the spoiling above rarely leaves a run that reaches these laws
     _run(argv)
 
 

@@ -16,13 +16,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from oracles import gl_sum_log_pdf, support, two_rate_quantile
+from oracles import (
+    gl_sum_log_pdf,
+    mp_erlang_sum_entropy,
+    mp_erlang_sum_log_pdf,
+    support,
+    two_rate_quantile,
+)
 from timingq import (
     Erlang,
     Exponential,
     NumericalConvolution,
     QuadratureError,
     Uniform,
+    cas_bound,
     hypoexp_entropy,
 )
 from timingq.distributions import ENTROPY_ABS_TOL, _neg_f_log_f
@@ -46,7 +53,7 @@ def _entropy_quad(log_pdf, upper, points=(), abs_tol=ENTROPY_ABS_TOL,
     """
 
     def integrand(d):
-        return float(_neg_f_log_f(log_pdf, np.array([d]))[0])
+        return float(_neg_f_log_f(log_pdf(np.array([d])))[0])
 
     pts = sorted({p for p in points if 0.0 < p < upper})
     value, err = integrate.quad(integrand, 0.0, upper, points=pts or None,
@@ -169,6 +176,38 @@ def test_exact_erlang_sum_density_far_tail(lam, beta, k):
         ref = (math.log(lam) + k * math.log(beta / c) - beta * d
                + np.log(series - (-1) ** (k - 1) * np.exp(-c * d)))
     assert np.max(np.abs(exact - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam, k, beta", [
+    (0.456, 2, 2.0), (5.0, 2, 2.0), (0.05, 1000, 1000.0), (0.5, 1000, 1000.0),
+    (0.999, 200, 200.0), (0.5, 500, 500.0), (3.0, 7, 2.0),
+    # lam > beta, past where scipy's 1F1 loses digits or reads nan
+    (2000.0, 1000, 1000.0), (1251.0, 1000, 1.0), (1e6, 3, 2.0), (1e14, 10, 10.0)])
+def test_exact_erlang_sum_density_matches_mpmath(lam, k, beta):
+    # from 1e-3 to 30 times the mean of D: every branch of the exact form
+    d = (1.0 / lam + k / beta) * np.array(
+        [1e-3, 0.05, 0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0, 10.0, 30.0])
+    exact = NumericalConvolution(lam, Erlang(k, beta)).log_pdf(d)
+    ref = mp_erlang_sum_log_pdf(lam, k, beta, d)
+    assert np.all(np.abs(exact - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_exact_erlang_sum_density_with_negligible_service():
+    # beta >> lam: f_D(d) = lam e^(-lam d) (beta/(beta - lam))^k P(k, (beta - lam) d)
+    # tends to lam e^(-lam d); 1F1(k; k+1; -(beta - lam) d) underflowed to 0 here
+    lam, d = 1e-300, np.array([1e296, 1e299, 1e300, 3e300, 1e301])
+    exact = NumericalConvolution(lam, Erlang(2, 1e300)).log_pdf(d)
+    assert np.allclose(exact, math.log(lam) - lam * d, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("k, rho", [(1000, 0.05), (1000, 0.5), (500, 0.5)])
+def test_cas_bound_with_large_erlang_shape_matches_mpmath(k, rho):
+    # mean service 1, so rho = lam; the old 1F1(k; k+1; .) underflowed at
+    # these shapes, and the converse came out too low or did not certify
+    service = Erlang(k, float(k))
+    ref = ((mp_erlang_sum_entropy(rho, k, float(k)) - service.entropy())
+           / (1.0 / rho + 1.0))
+    assert abs(cas_bound(rho, service) - ref) <= 1e-7
 
 
 @PROPERTY

@@ -225,7 +225,6 @@ def test_erlang_sum_density_far_past_the_service_rate():
     # for lam >> beta the idle time vanishes next to the service, so the
     # W + S density tends to the Erlang one; scipy's 1F1 factor read 0 or
     # nan here, which made the log-density -inf or nan
-    # at 1e19 the points past d = 40 take the k/x form and the others 1F1
     d = np.array([1e-3, 0.5, 1.0, 3.0, 40.0, 100.0])
     for lam in (1e19, 1e150, 1e200, 1e308):
         conv = NumericalConvolution(lam, Erlang(2, 2.0))
@@ -240,6 +239,27 @@ def test_entropy_refuses_to_certify_a_nan_density(monkeypatch):
     monkeypatch.setattr(conv, "log_pdf", lambda d: np.full(np.shape(d), math.nan))
     with pytest.raises(QuadratureError):
         conv.entropy()
+
+
+def test_entropy_refuses_to_certify_a_density_without_mass(monkeypatch):
+    # a log-density of -inf everywhere converges, to 0, on every panel
+    conv = NumericalConvolution(0.5, Erlang(2, 2.0))
+    monkeypatch.setattr(conv, "log_pdf", lambda d: np.full(np.shape(d), -math.inf))
+    with pytest.raises(QuadratureError, match="integrate to 1"):
+        conv.entropy()
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 50])
+def test_erlang_sum_entropy_certifies_at_every_load(k):
+    # scipy's 1F1(1; k+1; x) reads nan past x = -1e12, so loads from about
+    # 1e12 on did not certify for k >= 10
+    service = Erlang(k, float(k))
+    for lam in np.geomspace(0.01, 1e308, 25):
+        h = NumericalConvolution(lam, service).entropy()
+        # h(W + S) is at least h(W) and h(S), and at most the entropy of the
+        # exponential law with the same mean
+        assert max(1.0 - math.log(lam), service.entropy()) - 1e-8 <= h
+        assert h <= 1.0 + math.log(1.0 / lam + 1.0) + 1e-8
 
 
 def test_densities_integrate_to_one():
@@ -300,6 +320,11 @@ def test_constructors_reject_bad_parameters():
                  lambda: Erlang(10**400, 1.0), lambda: Uniform(1e308, 1.7e308)):
         with pytest.raises(ValueError, match="overflows"):
             make()
+    # past 2**53 float(shape) is inexact, and numpy cannot cast 2**63
+    for shape in (2**53 + 1, 2**63, 10**20):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            Erlang(shape, float(shape))
+    assert Erlang(2**53, 1.0).mean() == 2.0**53
 
 
 def test_quadrature_error_carries_achieved_estimate():
