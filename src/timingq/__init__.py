@@ -24,7 +24,6 @@ from .bounds import (
     maximize_rate,
     per_service_time,
     rate_R,
-    rate_R_normalized,
     sweep,
     universal_bound,
     universal_bound_at,
@@ -91,7 +90,6 @@ __all__ = [
     "ml_decode",
     "per_service_time",
     "rate_R",
-    "rate_R_normalized",
     "reconstruct_idle",
     "simulate",
     "sweep",

@@ -22,7 +22,7 @@ Three related quantities, all in nats per unit time unless noted:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .distributions import (
 
 __all__ = [
     "rate_R",
-    "rate_R_normalized",
     "universal_bound",
     "universal_bound_at",
     "c_upper",
@@ -69,11 +68,6 @@ def rate_R(lam: float, mu: float) -> float:
     # closed-form difference rounds to about -1e-16
     gain = hypoexp_entropy(lam, mu) - 1.0 + math.log(mu)
     return max(gain, 0.0) / (1.0 / lam + 1.0 / mu)
-
-
-def rate_R_normalized(lam: float, mu: float) -> float:
-    """`rate_R` in nats per mean service time (divide by mu)."""
-    return rate_R(lam, mu) / mu
 
 
 def c_upper(a: float, service) -> float:
@@ -217,12 +211,7 @@ class OptimumReport:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "rho_star": self.rho_star,
-            "value": self.value,
-            "bracket": list(self.bracket),
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float):

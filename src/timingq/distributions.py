@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammaincinv, hyp1f1, psi
+from scipy.special import erfcx, gammainc, gammaincinv, hyp1f1, psi
 
 __all__ = [
     "QuadratureError",
@@ -77,9 +77,10 @@ def _require_finite_mean(law) -> None:
     # a mean whose reciprocal overflows is an infinite rate
     try:
         mean = law.mean()
-    except OverflowError:  # an Erlang shape too large for a float
-        mean = math.inf
-    if not 0 < mean < math.inf or not 1.0 / mean < math.inf:
+        finite = 0 < mean < math.inf and 1.0 / mean < math.inf
+    except OverflowError:  # a parameter too large for a float
+        finite = False
+    if not finite:
         raise ValueError(f"the mean of {law!r} or its reciprocal overflows")
 
 
@@ -96,6 +97,70 @@ def _neg_f_log_f(lp):
     mass = lp != -np.inf
     out[mass] = -np.exp(lp[mass]) * lp[mass]
     return out
+
+
+# Stirling's series for log k! - (k log k - k + log(2 pi k)/2), in 1/k^2
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+
+
+def _stirling_remainder(k: int) -> float:
+    """log k! - (k log k - k + log(2 pi k)/2) for an integer k >= 1; its
+    series is short of 1e-17 from k = 10 on."""
+    if k < 10:
+        return (math.lgamma(k + 1) - k * math.log(k) + k
+                - 0.5 * math.log(2.0 * math.pi * k))
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series / (k * k) + c
+    return series / k
+
+
+# Loader's series for the Poisson deviance, 1/(2j + 1) for j = 15, ..., 1
+_ODD = tuple(1.0 / (2 * j + 1) for j in range(15, 0, -1))
+
+
+def _poisson_deviance(k: int, rate: float, x):
+    """k (t - log1p t) = m - k - k log(m/k) at m = rate * x, t = m/k - 1, for
+    k >= 1 and an array x >= 0; an m that overflows gives inf.
+
+    The direct form errs by about k * 2e-16 where its terms, of size k,
+    cancel near m = k.  Past k = 8 it gives way there, where |v| < 1/4 with
+    v = t/(2 + t), to Loader's series k (t v - 2 sum_j v^(2j+1)/(2j+1));
+    elsewhere the cancellation costs a factor of 5 at most.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = rate * x
+        log_ratio = np.log(m / k)
+        tiny = m <= 1e-290  # m/k loses digits as a subnormal, or is 0
+        log_ratio[tiny] = math.log(rate) + np.log(x[tiny]) - math.log(k)
+        out = (m - k) - k * log_ratio
+        out[m == math.inf] = math.inf
+        if k > 8:
+            t = (m - k) / k
+            v = t / (2.0 + t)
+            near = np.abs(v) < 0.25
+            vn = v[near]
+            v2 = vn * vn
+            odd = np.full_like(vn, _ODD[0])
+            for c in _ODD[1:]:  # the dropped term is below 1e-17 of the first
+                odd *= v2
+                odd += c
+            out[near] = k * (t[near] * vn - 2.0 * vn * v2 * odd)
+    return out
+
+
+def _log_poisson(k: int, rate: float, x):
+    """log(m^k e^(-m) / k!) at m = rate * x, for an integer k >= 0 and an
+    array x >= 0, as -k (t - log1p t) - log(2 pi k)/2 - (Stirling's
+    remainder).  The plain k log m - m - log k!, a sum of terms of size
+    k log k, cancels to a few nats near m = k and keeps no digit there at
+    k = 2**53."""
+    if k == 0:
+        with np.errstate(over="ignore"):
+            return -rate * x
+    return -(_poisson_deviance(k, rate, x)
+             + (0.5 * math.log(2.0 * math.pi * k) + _stirling_remainder(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +261,23 @@ class Erlang:
 
     def log_pdf(self, x):
         x, scalar = _as_float_array(x)
-        k, beta = self.shape, self.rate
+        # f(x) = beta (beta x)^(k-1) e^(-beta x) / (k-1)!
         out = np.full(x.shape, -np.inf)
-        if k == 1:
-            ok = x >= 0
-            out[ok] = math.log(beta) - beta * x[ok]
-        else:
-            ok = x > 0
-            out[ok] = (k * math.log(beta) + (k - 1) * np.log(x[ok])
-                       - beta * x[ok] - math.lgamma(k))
+        ok = x >= 0
+        out[ok] = math.log(self.rate) + _log_poisson(self.shape - 1, self.rate, x[ok])
         return _maybe_scalar(out, scalar)
 
     def entropy(self) -> float:
-        # gamma entropy k - log(rate) + log Gamma(k) + (1 - k) psi(k); the
-        # tests check it against scipy.stats and a certified quadrature
+        # gamma entropy k + log Gamma(k) + (1 - k) psi(k) - log(rate), whose
+        # terms of size k log k cancel; from k = 50 on, its asymptotic series
+        # (dropped term below 1e-14) keeps the digits the closed form loses
         k = self.shape
-        return float(k - math.log(self.rate) + math.lgamma(k) + (1 - k) * psi(k))
+        if k < 50:
+            return float(k - math.log(self.rate) + math.lgamma(k) + (1 - k) * psi(k))
+        r = 1.0 / k
+        tail = r * (1 / 3 + r * (1 / 12 + r * (1 / 90 - r * (1 / 120 + r * (
+            1 / 210 - r / 252)))))
+        return 0.5 * math.log(2.0 * math.pi * math.e * k) - math.log(self.rate) - tail
 
     def ppf(self, q):
         q, scalar = _as_float_array(q)
@@ -328,19 +394,60 @@ def _uniform_sum_log_pdf(lam, service, d):
     return out
 
 
+# From this shape on, `_log_kummer_temme` is within 1e-14 relative of
+# 1F1(1; k+1; x) for 0 < x <= k, and scipy's hyp1f1 no better: it loses digits
+# as k grows and reads nan just below x = k from k ~ 2**35 on.
+_TEMME_SHAPE = 2**20
+
+
+def _log_kummer_temme(k: int, x):
+    """log 1F1(1; k+1; x) for an array 0 < x <= k, by Temme's uniform
+    expansion of the regularized incomplete gamma function (DLMF 8.12),
+
+        P(k, x) = erfc(-y)/2 - e^(-y^2) (c0 + c1/k + ...) / sqrt(2 pi k),
+
+    with t = x/k - 1, y = -sqrt(k (t - log1p t)) and eta = y sqrt(2/k).
+    Since 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), and k! x^(-k) e^x is
+    e^(y^2) sqrt(2 pi k) times e to Stirling's remainder,
+
+        log 1F1(1; k+1; x) = log(sqrt(pi k/2) erfcx(-y) - c0 - c1/k)
+                             + (Stirling's remainder),
+
+    with no factor that under- or overflows.  Near eta = 0, where
+    c0 = 1/t - 1/eta and c1 = 1/eta^3 - 1/t^3 - 1/t^2 - 1/(12 t) cancel,
+    their Taylor series serve.
+    """
+    t = (x - k) / k
+    y = -np.sqrt(_poisson_deviance(k, 1.0, x))
+    eta = y * math.sqrt(2.0 / k)
+    near = np.abs(eta) < 1e-3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0 = np.where(near, -1 / 3 + eta * (1 / 12 + eta * (-2 / 135 + eta / 864)),
+                      1 / t - 1 / eta)
+        c1 = np.where(near, -1 / 540 - eta / 288,
+                      1 / eta ** 3 - 1 / t ** 3 - 1 / t ** 2 - 1 / (12 * t))
+    return (np.log(math.sqrt(0.5 * math.pi * k) * erfcx(-y) - c0 - c1 / k)
+            + _stirling_remainder(k))
+
+
 def _erlang_sum_log_pdf(lam, service, d):
     # By Kummer's transformation, with x = (beta - lam) d,
-    #   f_D(d) = lam beta^k d^k e^(-beta d) / k! * 1F1(1; k+1; x).
-    # Past x = k, 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), P the regularized
-    # lower incomplete gamma function, which lies in (1/2, 1] there, so
-    #   f_D(d) = lam (beta / (beta - lam))^k e^(-lam d) P(k, x)
-    # has no factor that underflows, and an x that overflows is harmless.
-    # Below x = -(1.25 k + 40) scipy's 1F1 loses digits as k grows and can read
-    # nan past x = -1e12; there, with y = -x, the exact
-    #   1F1(1; k+1; -y) = (k/y) sum_{n<k} (k-1)!/(k-1-n)! (-1/y)^n
-    #                     + (-1)^k k! y^(-k) e^(-y)
-    # has terms falling by a factor 0.8 or more and a last term below e^(-40)
-    # of the first, so its first 200 terms give the sum.
+    #   f_D(d) = lam (beta d)^k e^(-beta d) / k! * 1F1(1; k+1; x),
+    # the first factor being `_log_poisson`'s.  The branches differ in how
+    # they reach log 1F1(1; k+1; x):
+    # * past x = k, 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), P the regularized
+    #   lower incomplete gamma function, which lies in (1/2, 1] there; the
+    #   two Poisson factors cancel in closed form, to
+    #     f_D(d) = lam (beta / (beta - lam))^k e^(-lam d) P(k, x),
+    #   in which an x that overflows is harmless;
+    # * for 0 < x <= k from shape _TEMME_SHAPE on, `_log_kummer_temme`;
+    # * below x = -(1.25 k + 40) scipy's 1F1 loses digits as k grows and can
+    #   read nan past x = -1e12; there, with y = -x, the exact
+    #     1F1(1; k+1; -y) = (k/y) sum_{n<k} (k-1)!/(k-1-n)! (-1/y)^n
+    #                       + (-1)^k k! y^(-k) e^(-y)
+    #   has terms falling by a factor 0.8 or more and a last term below
+    #   e^(-40) of the first, so its first 200 terms give the sum;
+    # * elsewhere scipy's hyp1f1.
     k, beta = service.shape, service.rate
     out = np.full(d.shape, -np.inf)
     pos = d > 0
@@ -349,23 +456,25 @@ def _erlang_sum_log_pdf(lam, service, d):
         x = (beta - lam) * dp
     high, low = x > k, x < -(1.25 * k + 40.0)
     mid = ~(high | low)
-    log_f = np.empty_like(dp)
-    if beta > lam:
-        log_f[high] = (math.log(lam) - k * math.log1p(-lam / beta) - lam * dp[high]
-                       + np.log(gammainc(k, x[high])))
-    kummer = math.log(lam) + k * math.log(beta) - math.lgamma(k + 1)
-    dm = dp[mid]
-    log_f[mid] = (kummer + k * np.log(dm) - beta * dm
-                  + np.log(hyp1f1(1, k + 1, x[mid])))
+    log_1f1 = np.zeros_like(dp)
+    if k >= _TEMME_SHAPE:
+        temme = mid & (x > 0)
+        log_1f1[temme] = _log_kummer_temme(k, x[temme])
+        mid &= ~temme
+    log_1f1[mid] = np.log(hyp1f1(1, k + 1, x[mid]))
     if lam > beta:
         dl, y = dp[low], -x[low]
         series = np.ones_like(y)
         for n in range(min(k, 200) - 1, 0, -1):
             series = 1.0 - (k - n) / y * series
-        # log(k/y) in two logs, since y may overflow
-        log_f[low] = (kummer + (k - 1) * np.log(dl) - beta * dl + math.log(k)
-                      - math.log(lam - beta) + np.log(series))
-    out[pos] = log_f
+        # log(k/y) in three logs, since y may overflow
+        log_1f1[low] = (math.log(k) - math.log(lam - beta) - np.log(dl)
+                        + np.log(series))
+    log_f = _log_poisson(k, beta, dp) + log_1f1
+    if beta > lam:
+        log_f[high] = (-k * math.log1p(-lam / beta) - lam * dp[high]
+                       + np.log(gammainc(k, x[high])))
+    out[pos] = math.log(lam) + log_f
     return out
 
 
@@ -423,12 +532,6 @@ class NumericalConvolution:
         self.lam = float(lam)
         self.service = service
 
-    def mean(self) -> float:
-        return 1.0 / self.lam + self.service.mean()
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.lam, size=size) + self.service.sample(rng, size=size)
-
     def log_pdf(self, d):
         d, scalar = _as_float_array(d)
         exact = _EXACT_SUM_LOG_PDF[type(self.service)]
@@ -440,13 +543,13 @@ class NumericalConvolution:
         w_tail = -math.log1p(-split) / self.lam
         return w_tail + float(self.service.ppf(split))
 
-    def entropy(self, abs_tol: float = ENTROPY_ABS_TOL) -> float:
+    def entropy(self) -> float:
         """Differential entropy of D: exact where a closed form exists,
         else by composite Gauss-Legendre panels, whose error estimate is
         the difference between 32- and 64-node evaluations of every panel
         plus the truncated-tail envelope; QuadratureError if it exceeds
-        abs_tol, or if the 64-node panels integrate the density to a mass
-        more than abs_tol from 1.
+        ENTROPY_ABS_TOL, or if the 64-node panels integrate the density to a
+        mass more than ENTROPY_ABS_TOL from 1.
         """
         exact = _EXACT_SUM_ENTROPY.get(type(self.service))
         if exact is not None:
@@ -469,10 +572,10 @@ class NumericalConvolution:
         tail_lp = float(self.log_pdf(upper))
         tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
         err = abs(fine - coarse) + tail
-        if not err <= abs_tol:
+        if not err <= ENTROPY_ABS_TOL:
             raise QuadratureError("convolution entropy did not converge", err)
         # a density wrong on much of its support can still converge
-        if not abs(mass - 1.0) <= abs_tol:
+        if not abs(mass - 1.0) <= ENTROPY_ABS_TOL:
             raise QuadratureError("convolution density does not integrate to 1",
                                   abs(mass - 1.0))
         return fine

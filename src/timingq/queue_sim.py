@@ -123,10 +123,6 @@ class QueueTrace:
     inter_departures: np.ndarray
     departure_epochs: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.inter_departures) - 1
-
     def validate(self) -> None:
         k = self.admitted_indices
         s = self.service_times

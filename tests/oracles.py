@@ -11,8 +11,10 @@ shipped law.  `two_rate_sf` and `two_rate_quantile` give the survival
 function and quantiles of the two-rate sum law, for the integration limits
 of the entropy oracles.  `mp_erlang_sum_log_pdf` and
 `mp_erlang_sum_entropy` evaluate the Erlang-service density of D through
-mpmath's 1F1 at 40 digits, and its entropy by mpmath quadrature.  None of
-them serves the library itself.
+mpmath's 1F1 at 40 digits, and its entropy by mpmath quadrature.
+`mp_log_kummer` reaches log 1F1(1; k+1; x) at any shape through its
+integral, where mpmath's 1F1 and incomplete gamma function take too long
+or give up.  None of them serves the library itself.
 """
 
 import math
@@ -184,3 +186,28 @@ def mp_erlang_sum_entropy(lam: float, k: int, beta: float) -> float:
         edges = [max(mean + z * sd, 0) for z in (-8, -4, -2, 0, 2, 4, 8)]
         edges += [edges[-1] + t / mpmath.mpf(lam) for t in (1, 4, 15, 60)]
         return float(mpmath.quad(neg_f_log_f, [0] + edges))
+
+
+def mp_log_kummer(k: int, x: float):
+    """log 1F1(1; k+1; x) at 40 digits, an mpmath number, for any shape k and
+    real x, from 1F1(1; k+1; x) = k int_0^1 e^(x s) (1 - s)^(k-1) ds by
+    mpmath quadrature split around the integrand's peak."""
+    with mpmath.workdps(40):
+        k, x = mpmath.mpf(k), mpmath.mpf(x)
+        if k == 1:
+            return mpmath.log(mpmath.expm1(x) / x) if x else mpmath.mpf(0)
+
+        def g(s):
+            return x * s + (k - 1) * mpmath.log1p(-s)
+
+        # the peak of g on [0, 1) and its width there
+        peak = 1 - (k - 1) / x if x > k - 1 else mpmath.mpf(0)
+        width = (1 - peak) / mpmath.sqrt(k - 1)
+        if peak == 0 and x < k - 1:
+            width = min(width, 1 / (k - 1 - x))
+        points = sorted({mpmath.mpf(0), mpmath.mpf(1)} | {
+            peak + c * width for c in (-64, -16, -4, -1, 0, 1, 4, 16, 64, 256)
+            if 0 < peak + c * width < 1})
+        top = g(peak)
+        return (mpmath.log(k) + top
+                + mpmath.log(mpmath.quad(lambda s: mpmath.exp(g(s) - top), points)))

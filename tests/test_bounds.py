@@ -16,7 +16,6 @@ from timingq import (
     maximize_rate,
     per_service_time,
     rate_R,
-    rate_R_normalized,
     sweep,
     universal_bound,
     universal_bound_at,
@@ -26,18 +25,18 @@ from timingq import (
 # ------------------------------------------------------------------ rate
 
 def test_rate_vanishes_in_idle_limit():
-    assert rate_R_normalized(1e-6, 1.0) < 1e-4
-    assert rate_R_normalized(1e-4, 1.0) < 2e-3
+    assert rate_R(1e-6, 1.0) < 1e-4
+    assert rate_R(1e-4, 1.0) < 2e-3
 
 
 def test_rate_vanishes_in_saturation_limit():
-    vals = [rate_R_normalized(lam, 1.0) for lam in (10.0, 100.0, 1000.0)]
+    vals = [rate_R(lam, 1.0) for lam in (10.0, 100.0, 1000.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.01
 
 
 def test_rate_peak_value_pinned():
-    assert rate_R_normalized(RHO_STAR, 1.0) == pytest.approx(RATE_STAR, abs=1e-9)
+    assert rate_R(RHO_STAR, 1.0) == pytest.approx(RATE_STAR, abs=1e-9)
 
 
 def test_rate_scale_invariance():
@@ -257,3 +256,4 @@ def test_optimum_report_dict():
     report = maximize_rate(1.0, bracket=(0.4, 0.5), tol=1e-4)
     data = report.as_dict()
     assert set(data) == {"rho_star", "value", "bracket", "tolerance"}
+    assert data["bracket"] == (0.4, 0.5)

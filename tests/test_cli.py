@@ -292,6 +292,30 @@ def test_infodensity_at_the_largest_erlang_shape_is_quick(tmp_path):
         timeout=30)
 
 
+def test_bounds_at_the_largest_erlang_shape(tmp_path):
+    # the Erlang entropy read 0.0 at 2**53, so the universal bound read 0.4653
+    # at rho = 0.2, below the 1.3801 of the blunter erlang:1000000:1000000
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--mu", "1", "--service",
+                 "erlang:9007199254740992:9007199254740992", "--rho", "0.2:2:3",
+                 "--no-cas", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[2].split(",")
+    assert row[0] == "0.2"
+    assert abs(float(row[2]) - 3.2902035) <= 1e-6
+
+
+def test_infodensity_at_the_largest_erlang_shape_is_near_zero(tmp_path):
+    # S ~ Erlang(2**53, 1) dwarfs W ~ Exp(1), so the density per unit time is
+    # below 1e-20; the log-densities' lost digits made it read -6.5e-15
+    out = tmp_path / "x.json"
+    assert main(["infodensity", "--lam", "1", "--service", "erlang:9007199254740992:1",
+                 "--n", "20", "--trials", "2", "--target", "0.1", "--format", "json",
+                 "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["failed_trials"] == 0
+    assert abs(row["mean"]) <= 1e-20
+
+
 def test_infodensity_stderr_stays_finite_at_huge_densities(tmp_path):
     # densities near 1e249 have squares past the float range
     out = tmp_path / "x.json"
@@ -364,6 +388,11 @@ GOLDEN = {
     ("infodensity", "--lam", "0.456", "--service", "uniform:0:2",
      "--n", "100,1000", "--trials", "3", "--format", "json"):
         "aa7d2f7c82d5d70309edd29cac8ccd7b0e38aeddcd237e850d0682274ddcd1f6",
+    ("optimum", "--mu", "1"):
+        "179e8898632c3b153dd61357919a01121d24270d57f1db49243703193ae37f5f",
+    ("decode", "--M", "4,16", "--n", "2,5", "--lam", "0.5", "--mu", "1",
+     "--trials", "20"):
+        "c14e1853144bdd32101bb1f386c697402fbb3bb624aaa9c56fd59e0e39cd8adf",
 }
 
 

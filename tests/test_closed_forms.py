@@ -5,11 +5,15 @@ the Erlang entropy and the inter-departure densities of the shipped service
 laws in closed form.  The oracles here are the quadratures those closed
 forms replaced: the certified adaptive quadrature of -f log f (kept only in
 this file), the composite Gauss-Legendre entropy of `NumericalConvolution`,
-the Gauss-Legendre convolution `oracles.gl_sum_log_pdf`, and scipy.stats.
+the Gauss-Legendre convolution `oracles.gl_sum_log_pdf`, and scipy.stats;
+at huge Erlang shapes, mpmath at 40 digits.
 """
 
 import math
+import warnings
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +24,7 @@ from oracles import (
     gl_sum_log_pdf,
     mp_erlang_sum_entropy,
     mp_erlang_sum_log_pdf,
+    mp_log_kummer,
     support,
     two_rate_quantile,
 )
@@ -31,7 +36,9 @@ from timingq import (
     Uniform,
     cas_bound,
     hypoexp_entropy,
+    universal_bound_at,
 )
+from timingq import distributions
 from timingq.distributions import ENTROPY_ABS_TOL, _neg_f_log_f
 
 # Survival level of the oracle's upper integration limit.
@@ -345,3 +352,124 @@ def test_erlang_ppf_matches_scipy_stats(model, q):
     assert np.allclose(model.ppf(grid),
                        stats.gamma.ppf(grid, a=model.shape, scale=1.0 / model.rate),
                        rtol=1e-13, atol=0)
+
+
+# ------------------------------------------------------ Erlang, huge shapes
+
+HUGE_SHAPES = (1, 2, 1000, 10**6, 10**9, 2**40, 2**53)
+
+
+def _mp_log_poisson(k, m):
+    # log(m^k e^(-m) / k!) at 40 digits, for the float m as it stands
+    with mpmath.workdps(40):
+        k, m = mpmath.mpf(k), mpmath.mpf(float(m))
+        return k * mpmath.log(m) - m - mpmath.loggamma(k + 1) if m else (
+            mpmath.mpf(0) if k == 0 else -mpmath.inf)
+
+
+def _assert_close_to_mp(ours, refs, rel):
+    for value, ref in zip(ours, refs):
+        if ref == -mpmath.inf:
+            assert value == -math.inf
+        else:
+            assert abs(value - float(ref)) <= rel * max(1.0, abs(float(ref)))
+
+
+@pytest.mark.parametrize("k", HUGE_SHAPES)
+def test_erlang_log_pdf_keeps_its_digits_at_huge_shapes(k):
+    # (beta x)^(k-1) e^(-beta x) / (k-1)! summed k log(beta x), beta x and
+    # log (k-1)!, terms of size k log k that cancel near beta x = k; the grid
+    # straddles the switches of the Poisson deviance (beta x = 0.6 and 5/3
+    # times k - 1) and reaches 0 and the subnormal range
+    beta, j = 2.0, max(k - 1, 1)
+    m = np.array([j + z * math.sqrt(j) for z in (-30, -3, -1, -1e-3, 0, 1e-3, 1, 3, 30)]
+                 + [0.6 * j, 0.61 * j, 1.66 * j, 1.67 * j, 3.0 * j, 0.5, 1e-300, 0.0])
+    m = m[m >= 0]
+    ours = Erlang(k, beta).log_pdf(m / beta)
+    refs = [math.log(beta) + _mp_log_poisson(k - 1, v) for v in m]
+    _assert_close_to_mp(ours, refs, 4e-15)
+    # beta x = inf, or a product beta x that overflows: no mass, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Erlang(k, beta).log_pdf(math.inf) == -math.inf
+        assert Erlang(k, 1e300).log_pdf(1e300) == -math.inf
+
+
+def test_erlang_log_pdf_at_the_largest_shape():
+    # -log(2 pi 2**53)/2; the plain sum read -64.0
+    assert abs(Erlang(2**53, 1.0).log_pdf(2.0**53) + 19.287338818) <= 1e-6
+
+
+def _kummer_grid(k, lam):
+    # beta = 1, so x = (1 - lam) d; points straddle every switch of the
+    # density: x = k (incomplete gamma), x = 0 (Temme's expansion, at
+    # shapes of 2**20 on) and x = -(1.25 k + 40) (the terminating series)
+    if lam < 1.0:
+        x = [k + z * math.sqrt(k) for z in (-3000, -100, -4, -1.75, 0, 4, 40)]
+        x += [0.5 * k, 1e-3]
+    else:
+        edge = 1.25 * k + 40.0
+        x = [-1e-3, -0.5 * k, -edge * (1 - 1e-9), -edge * (1 + 1e-9), -3.0 * k]
+    x = np.array([v for v in x if v > 0] if lam < 1.0 else x)
+    return x / (1.0 - lam)
+
+
+@pytest.mark.parametrize("k", HUGE_SHAPES)
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_erlang_sum_density_keeps_its_digits_at_huge_shapes(k, lam):
+    d = _kummer_grid(k, lam)
+    ours = NumericalConvolution(lam, Erlang(k, 1.0)).log_pdf(d)
+    with mpmath.workdps(40):
+        refs = [mpmath.log(lam) + _mp_log_poisson(k, v) + mp_log_kummer(k, (1.0 - lam) * v)
+                for v in d]
+    _assert_close_to_mp(ours, refs, 4e-15)
+
+
+@pytest.mark.parametrize("k", [2, 1000, 2**20, 2**30, 2**35, 2**36, 2**40, 2**45, 2**53])
+def test_erlang_sum_density_has_no_nan_band(k):
+    # scipy's 1F1(1; k+1; x) reads nan just below x = k from k ~ 2**35, and
+    # scipy's incomplete gamma function loses its digits below k - 4 sqrt(k)
+    # (off by 0.07 nats at k = 2**24 and 3.2 at 2**36), so neither may serve there
+    z = np.concatenate([np.linspace(-3000.0, 40.0, 400), np.linspace(-5.0, 0.0, 101)])
+    x = k + z * math.sqrt(k)
+    x = x[x > 0]
+    reached = []
+
+    def gammainc(a, v):
+        reached.append(np.asarray(v))
+        return special.gammainc(a, v)
+
+    with mock.patch.object(distributions, "gammainc", gammainc):
+        log_f = NumericalConvolution(0.5, Erlang(k, 1.0)).log_pdf(2.0 * x)
+    assert np.all(np.isfinite(log_f))
+    assert all(np.all(v >= k - 4.0 * math.sqrt(k)) for v in reached)
+
+
+def _mp_erlang_entropy(k, beta):
+    with mpmath.workdps(40):
+        k = mpmath.mpf(k)
+        return float(k + mpmath.loggamma(k) + (1 - k) * mpmath.digamma(k)
+                     - mpmath.log(beta))
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 49, 50, 51, 1000, 10**6, 10**9, 2**40, 2**53])
+def test_erlang_entropy_keeps_its_digits_at_huge_shapes(k):
+    # k + lgamma(k) + (1 - k) psi(k) cancels terms of size k log k; it read
+    # 0.0 at Erlang(2**53, 2**53) and -12.4453125 at Erlang(2**40, 2**40)
+    for beta in (1.0, float(k)):
+        assert abs(Erlang(k, beta).entropy() - _mp_erlang_entropy(k, beta)) <= 1e-14
+
+
+def test_erlang_entropy_at_the_largest_shape():
+    # log(2 pi e / 2**53)/2 - 1/(3 * 2**53); the closed form read 0.0
+    assert abs(Erlang(2**53, 2.0**53).entropy() + 16.949462) <= 1e-6
+
+
+def test_sharper_erlang_service_lowers_entropy_and_raises_the_bound():
+    # mean 1: Erlang(k, k) tends to a point mass as k grows, so its entropy
+    # falls and the converse c_upper(1/lam)/(1/lam + 1) rises
+    shapes = (1, 2, 10, 10**3, 10**6, 10**9, 2**40, 2**53)
+    entropies = [Erlang(k, float(k)).entropy() for k in shapes]
+    bounds = [universal_bound_at(0.2, Erlang(k, float(k))) for k in shapes]
+    assert all(a > b for a, b in zip(entropies, entropies[1:]))
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))

@@ -43,11 +43,15 @@ def test_exponential_large_sample_mean():
 
 def test_sample_means_match_model_means():
     rng = np.random.default_rng(99)
-    for model in (Erlang(3, 2.0), Uniform(0.5, 2.5),
-                  NumericalConvolution(0.7, Exponential(1.3))):
+    for model in (Erlang(3, 2.0), Uniform(0.5, 2.5)):
         x = model.sample(rng, 200_000)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - model.mean()) < 4 * se
+    # D = W + S, W ~ Exp(0.7), S ~ Exp(1.3)
+    idle, service = Exponential(0.7), Exponential(1.3)
+    x = idle.sample(rng, 200_000) + service.sample(rng, 200_000)
+    se = x.std(ddof=1) / math.sqrt(x.size)
+    assert abs(x.mean() - (idle.mean() + service.mean())) < 4 * se
 
 
 # ---------------------------------------------------------------- log_pdf
@@ -317,7 +321,8 @@ def test_constructors_reject_bad_parameters():
             make(math.inf)
     # finite parameters whose mean overflows: an infinite service time
     for make in (lambda: Exponential(1e-320), lambda: Erlang(2, 1e-320),
-                 lambda: Erlang(10**400, 1.0), lambda: Uniform(1e308, 1.7e308)):
+                 lambda: Erlang(10**400, 1.0), lambda: Deterministic(10**400),
+                 lambda: Uniform(1e308, 1.7e308)):
         with pytest.raises(ValueError, match="overflows"):
             make()
     # past 2**53 float(shape) is inexact, and numpy cannot cast 2**63
