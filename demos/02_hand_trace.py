@@ -10,7 +10,7 @@ then replays the decoder's view: given only those departures and the
 codeword, it recovers the idle time exactly.
 """
 
-from timingq import Codebook, SimConfig, reconstruct_idle, simulate, trace_csv
+from timingq import Codebook, SimConfig, idle_path, simulate, trace_csv
 
 trace = simulate(SimConfig(arrival=[0.0, 1.0, 1.0, 1.0],
                            service=[2.5, 1.0], n=1))
@@ -22,7 +22,7 @@ print(f"idle before 2nd service  : {trace.idle_times[0]}")
 print(f"departure epochs         : {trace.departure_epochs.tolist()}")
 
 book = Codebook.from_sequences([[0.0, 1.0, 1.0, 1.0]])
-w0 = reconstruct_idle(book, 1, trace.inter_departures[:1])
+w0 = idle_path(book, 1, trace.inter_departures)[0]
 print(f"decoder-side idle        : {w0} (bitwise equal: "
       f"{w0 == trace.idle_times[0]})")
 

@@ -35,7 +35,6 @@ from .coding import (
     encode,
     idle_path,
     ml_decode,
-    reconstruct_idle,
 )
 from .distributions import (
     Deterministic,
@@ -90,7 +89,6 @@ __all__ = [
     "ml_decode",
     "per_service_time",
     "rate_R",
-    "reconstruct_idle",
     "simulate",
     "sweep",
     "trace_csv",

@@ -214,6 +214,17 @@ class OptimumReport:
         return asdict(self)
 
 
+def _check_load_range(lo: float, hi: float, mu: float) -> None:
+    # the arrival rate rho * mu must be an exponential rate at both ends of
+    # a rho range, and so, the valid rates being an interval, throughout it
+    for rho in (lo, hi):
+        try:
+            Exponential(rho * mu)
+        except ValueError as exc:
+            raise ValueError(
+                f"the arrival rate rho * mu at rho = {rho!r}: {exc}") from None
+
+
 def _golden_section_max(f, lo: float, hi: float, tol: float):
     """Standard golden-section search for a maximum on [lo, hi].
 
@@ -243,31 +254,25 @@ def maximize_rate(mu: float, bracket: tuple[float, float] = (0.01, 2.0),
                   tol: float = 1e-6) -> OptimumReport:
     """Locate the rho maximizing the normalized rate within `bracket`.
 
-    A coarse grid scan at step 0.01 brackets the peak first (no
-    unimodality is assumed), then golden-section refines to `tol` in rho.
+    rho -> rate_R(rho mu, mu)/mu is strictly unimodal: it rises strictly
+    below its peak near 0.456 and falls strictly above it.  So one
+    golden-section search over the whole bracket refines to `tol` in rho,
+    and the peak is interior only if the value found beats both ends.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi and hi * mu < math.inf):
-        raise ValueError(
-            f"bracket must satisfy 0 < lo < hi and hi * mu < inf, got {bracket}")
+    if not 0 < lo < hi:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_load_range(lo, hi, mu)
 
     def f(rho: float) -> float:
         return rate_R(rho * mu, mu) / mu
 
-    grid = np.arange(lo, hi + 0.005, 0.01)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    values = [f(r) for r in grid]
-    peak = int(np.argmax(values))
-    if peak in (0, len(grid) - 1):
+    rho_star, value = _golden_section_max(f, lo, hi, tol)
+    if not value > max(f(lo), f(hi)):
         raise ValueError(f"no interior maximum inside bracket {bracket}")
-
-    rho_star, value = _golden_section_max(
-        f, grid[peak - 1], grid[peak + 1], tol)
-    if values[peak] > value:
-        rho_star, value = float(grid[peak]), float(values[peak])
     return OptimumReport(rho_star=float(rho_star), value=float(value),
                          bracket=(lo, hi), tolerance=tol)

@@ -219,9 +219,10 @@ def _config_dict(args) -> dict:
 
 def _cmd_bounds(args) -> str:
     grid = parse_grid(args.rho, args.log)
-    if not math.isfinite(float(grid[-1]) * args.mu):
-        raise ValidationError(
-            f"--rho: the arrival rate rho * mu overflows at rho = {float(grid[-1])!r}")
+    try:
+        bounds._check_load_range(float(grid[0]), float(grid[-1]), args.mu)
+    except ValueError as exc:
+        raise ValidationError(f"--rho: {exc}") from None
     service = parse_service(args.service) if args.service else None
     if isinstance(service, Deterministic):
         raise ValidationError(
@@ -290,7 +291,9 @@ def _cmd_infodensity(args) -> str:
         raise ValidationError(f"--target: must be finite, got {target}")
     gamma = args.gamma if args.gamma is not None else 0.05 * target
     if not 0 < gamma < math.inf:
-        raise ValidationError(f"--gamma: must be positive and finite, got {gamma}")
+        # an omitted --gamma is 5% of the target
+        flag = "--gamma" if args.gamma is not None else "--target"
+        raise ValidationError(f"{flag}: gamma must be positive and finite, got {gamma}")
     if len(schedule) > 1 and any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError(f"--n: schedule must be increasing, got {args.n!r}")
     # one result per trial, and the arrays of each trial in flight

@@ -16,7 +16,6 @@ and replayable decoding possible without storing anything.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 from .queue_sim import _extend_epochs, _first_after
 
 __all__ = ["Codebook", "DecodeResult", "DecodeFailure",
-           "encode", "idle_path", "reconstruct_idle", "ml_decode"]
+           "encode", "idle_path", "ml_decode"]
 
 
 class DecodeFailure(RuntimeError):
@@ -65,7 +64,7 @@ class Codebook:
     default, giving infinite codewords; `inter_arrival` must be a duration
     law) or from explicit finite sequences via `from_sequences`.
     The arrival epochs of all codewords live in one (M, J) matrix, the one
-    `epoch_matrix` returns and `epochs` reads: explicit codewords fill it in
+    `epoch_matrix` returns: explicit codewords fill it in
     full at construction, hashed ones extend it on demand, guarded so a
     codebook can be shared across worker threads.
     `sequences`, validated by `from_sequences`, holds explicit codewords.
@@ -115,14 +114,6 @@ class Codebook:
         j = np.arange(j_start, j_stop, dtype=np.uint64)
         return self.inter_arrival.ppf(_hash_uniform(self._base(u), j))
 
-    def epochs(self, u: int, beyond: float) -> np.ndarray:
-        """Arrival epochs of codeword u, the finite part of its row of
-        `epoch_matrix(beyond)`: past `beyond`, or the whole explicit
-        codeword."""
-        self._check_u(u)
-        row = self.epoch_matrix(beyond)[u - 1]
-        return row[np.isfinite(row)]
-
     def epoch_matrix(self, beyond: float) -> np.ndarray:
         """Epochs of all M codewords as one (M, J) array covering `beyond`.
 
@@ -160,35 +151,22 @@ def encode(codebook: Codebook, u: int):
         j += 256
 
 
-def reconstruct_idle(codebook: Codebook, u: int, inter_departures) -> float:
-    """Idle time implied by hypothesis u after the given departure gaps.
-
-    With departures through epoch T = sum of the gaps, hypothesis u says the
-    next admitted packet is the first codeword arrival strictly after T, so
-    the server idles from T until that arrival: the last entry of
-    `idle_path` over the gaps and one more departure.
-    """
-    if np.size(inter_departures) == 0:
-        raise ValueError("need a nonempty sequence of nonnegative departures")
-    w = float(idle_path(codebook, u, np.append(inter_departures, 0.0))[-1])
-    if w == math.inf:
-        raise ValueError("codeword exhausted before any arrival passed the last departure")
-    return w
-
-
 def idle_path(codebook: Codebook, u: int, inter_departures) -> np.ndarray:
     """Hypothesis-u idle times before departures 1..n, as one vector.
 
     Entry i-1 is the idle time between departure i-1 and the admission of
     the packet that leaves as departure i, replayed from the codeword and
     the observed gaps d_0..d_{i-1} only; inf where the codeword ends first.
-    Codeword entries are consumed lazily as needed.
+    It replays row u of the `epoch_matrix` that `ml_decode` scores, whose
+    +inf padding after a short explicit codeword reads as its end.
     """
     d = np.asarray(inter_departures, dtype=float)
     if not np.all(d >= 0):
         raise ValueError("departure gaps must be nonnegative")
+    codebook._check_u(u)
     t = np.cumsum(d)[:-1]
-    return _idle_times(codebook.epochs(u, float(t[-1]) if t.size else 0.0), t)
+    beyond = float(t[-1]) if t.size else 0.0
+    return _idle_times(codebook.epoch_matrix(beyond)[u - 1], t)
 
 
 def _idle_times(epochs, departures) -> np.ndarray:

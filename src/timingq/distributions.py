@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfcx, gammainc, gammaincinv, hyp1f1, psi
+from scipy.special import erfcx, gammainc, gammaincinv, hyp1f1, ndtr, psi
 
 __all__ = [
     "QuadratureError",
@@ -555,8 +555,12 @@ class NumericalConvolution:
         if exact is not None:
             return exact(self.lam, self.service)
         upper = self.quantile_bound(1.0 - _TAIL_MASS)
-        # graded toward 0, where the Erlang sum density vanishes like d^k
-        edges = np.concatenate([[0.0], np.geomspace(upper * 1e-8, upper, 48)])
+        # graded toward 0, where the Erlang sum density vanishes like d^k,
+        # plus the service quantiles at normal scores -7..7, since the
+        # density rises across the service law's bulk, ~sqrt(k)/rate wide
+        bulk = self.service.ppf(ndtr(np.linspace(-7.0, 7.0, 16)))
+        edges = np.unique(np.concatenate(
+            [[0.0], np.geomspace(upper * 1e-8, upper, 48), bulk[bulk < upper]]))
 
         def panel_sums(order):
             # the integrals of -f log f and of f over the panels

@@ -14,7 +14,10 @@ of the entropy oracles.  `mp_erlang_sum_log_pdf` and
 mpmath's 1F1 at 40 digits, and its entropy by mpmath quadrature.
 `mp_log_kummer` reaches log 1F1(1; k+1; x) at any shape through its
 integral, where mpmath's 1F1 and incomplete gamma function take too long
-or give up.  None of them serves the library itself.
+or give up.  `scan_maximize_rate` is the rate optimizer as it was before
+`maximize_rate` became one golden-section search: a 0.01-step grid scan
+that assumes no unimodality, then golden section around the best grid
+point.  None of them serves the library itself.
 """
 
 import math
@@ -25,7 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, optimize
 from scipy.special import logsumexp
 
-from timingq import Deterministic, QuadratureError, Uniform
+from timingq import Deterministic, QuadratureError, Uniform, rate_R
+from timingq.bounds import _golden_section_max
 from timingq.distributions import _as_float_array, _maybe_scalar, _two_rates
 
 # Order of the fixed Gauss-Legendre rule of `gl_sum_log_pdf`.
@@ -211,3 +215,24 @@ def mp_log_kummer(k: int, x: float):
         top = g(peak)
         return (mpmath.log(k) + top
                 + mpmath.log(mpmath.quad(lambda s: mpmath.exp(g(s) - top), points)))
+
+
+def scan_maximize_rate(mu: float, bracket: tuple[float, float], tol: float):
+    """(rho*, value) of the normalized rate by a 0.01-step scan of `bracket`
+    and golden section between the neighbours of its best point;
+    ValueError if the best grid point is an end of the grid."""
+    lo, hi = bracket
+
+    def f(rho: float) -> float:
+        return rate_R(rho * mu, mu) / mu
+
+    grid = np.arange(lo, hi + 0.005, 0.01)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    values = [f(r) for r in grid]
+    peak = int(np.argmax(values))
+    if peak in (0, len(grid) - 1):
+        raise ValueError(f"no interior maximum inside bracket {bracket}")
+    rho_star, value = _golden_section_max(f, grid[peak - 1], grid[peak + 1], tol)
+    if values[peak] > value:
+        rho_star, value = float(grid[peak]), float(values[peak])
+    return float(rho_star), float(value)

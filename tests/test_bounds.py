@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import RATE_STAR, RHO_STAR, UNIVERSAL_STAR
-from oracles import g_rho, hypoexp_entropy_rewritten
+from oracles import g_rho, hypoexp_entropy_rewritten, scan_maximize_rate
 from timingq import (
     Deterministic,
     Erlang,
@@ -240,10 +242,72 @@ def test_maximize_rate_respects_bracket():
 
 
 def test_maximize_rate_needs_interior_peak():
-    with pytest.raises(ValueError):
-        maximize_rate(1.0, bracket=(5.0, 9.0))
+    for bracket in ((5.0, 9.0), (0.01, 0.4), (0.46, 2.0)):
+        with pytest.raises(ValueError, match="no interior maximum"):
+            maximize_rate(1.0, bracket=bracket)
     with pytest.raises(ValueError):
         maximize_rate(1.0, bracket=(0.7, 0.3))
+
+
+def test_maximize_rate_work_grows_with_log_width(monkeypatch):
+    # a 0.01-step scan made 223 rate_R calls at the default bracket, and
+    # its work and memory grew with the bracket's width
+    calls = []
+
+    def counting(lam, mu):
+        calls.append(lam)
+        return rate_R(lam, mu)
+
+    monkeypatch.setattr("timingq.bounds.rate_R", counting)
+    maximize_rate(1.0)
+    assert len(calls) < 40
+    calls.clear()
+    maximize_rate(1.0, bracket=(0.3, 1e300))
+    assert len(calls) < 1500
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.7, 1e-290, 1e290])
+def test_normalized_rate_is_strictly_unimodal(mu):
+    # what lets one golden-section search serve any bracket: over
+    # rho in [1e-9, 1e9] the normalized rate rises strictly to its peak and
+    # falls strictly after it (past rho ~ 4.7e11 rounding adds wiggles)
+    rho = np.geomspace(1e-9, 1e9, 100_001)
+    values = np.array([rate_R(r * mu, mu) / mu for r in rho])
+    peak = int(np.argmax(values))
+    assert abs(rho[peak] - RHO_STAR) < 1e-3
+    assert np.all(np.diff(values[: peak + 1]) > 0)
+    assert np.all(np.diff(values[peak:]) < 0)
+
+
+# Brackets the scan oracle judges rightly: it misses a peak within two grid
+# steps of an end, and needs two steps to scan at all
+SCAN_MARGIN = 0.02
+
+
+# at the default tol: a coarser one leaves the value short of the scan's by
+# more than 1e-12, and within ~1e-8 of its peak the rate is flat to
+# rounding, so no tol pins rho* more finely than that
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(1e-3, 20.0), hi=st.floats(1e-3, 20.0))
+@example(lo=0.01, hi=2.0)
+@example(lo=0.3, hi=0.6)
+@example(lo=0.001, hi=20.0)
+@example(lo=0.5, hi=20.0)
+def test_maximize_rate_agrees_with_the_scan_oracle(lo, hi):
+    tol = 1e-6
+    assume(hi - lo > 2 * SCAN_MARGIN)
+    assume(min(abs(RHO_STAR - lo), abs(RHO_STAR - hi)) > SCAN_MARGIN)
+    try:
+        expected = scan_maximize_rate(1.0, (lo, hi), tol)
+    except ValueError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError, match="no interior maximum"):
+            maximize_rate(1.0, bracket=(lo, hi), tol=tol)
+        return
+    report = maximize_rate(1.0, bracket=(lo, hi), tol=tol)
+    assert abs(report.rho_star - expected[0]) <= tol
+    assert report.value >= expected[1] - 1e-12
 
 
 def test_maximize_rate_rejects_bad_tolerance():

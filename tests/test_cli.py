@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import timingq
 import timingq.cli as cli
-from conftest import RATE_STAR
+from conftest import RATE_STAR, RHO_STAR
 from timingq.cli import (
     DEFAULT_SEED,
     ValidationError,
@@ -389,7 +389,7 @@ GOLDEN = {
      "--n", "100,1000", "--trials", "3", "--format", "json"):
         "aa7d2f7c82d5d70309edd29cac8ccd7b0e38aeddcd237e850d0682274ddcd1f6",
     ("optimum", "--mu", "1"):
-        "179e8898632c3b153dd61357919a01121d24270d57f1db49243703193ae37f5f",
+        "3f49eff6d9ed70546cd1b663149070b0be279217d5441e6b3ac7eb346ff37225",
     ("decode", "--M", "4,16", "--n", "2,5", "--lam", "0.5", "--mu", "1",
      "--trials", "20"):
         "c14e1853144bdd32101bb1f386c697402fbb3bb624aaa9c56fd59e0e39cd8adf",
@@ -422,6 +422,10 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert "--rho" in capsys.readouterr().err
     assert main(["optimum", "--mu", "1e308",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "--bracket" in capsys.readouterr().err
+    # the rate falls across the whole bracket
+    assert main(["optimum", "--mu", "1", "--bracket", "5:9",
                  "--out", str(tmp_path / "x.json")]) == 1
     assert "--bracket" in capsys.readouterr().err
     # 1/mu overflows, so every mean service time is infinite
@@ -606,6 +610,47 @@ def test_optimum_tol_below_float_spacing_terminates(tmp_path):
     assert abs(json.loads(out.read_text())["value"] - RATE_STAR) < 1e-8
 
 
+@pytest.mark.parametrize("bracket", ["0.3:1e9", "0.3:1e6", "0.3:1e300",
+                                     "1e-10:1", "0.45:0.46"])
+def test_optimum_finds_the_peak_in_wide_and_narrow_brackets(bracket, tmp_path):
+    # a 0.01-step scan of the bracket ran out of memory on 0.3:1e9, ran for
+    # minutes on 0.3:1e6 and found no interior peak in 0.45:0.46
+    out = tmp_path / "opt.json"
+    assert main(["optimum", "--mu", "1", "--bracket", bracket, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert abs(data["value"] - RATE_STAR) < 1e-9
+    assert abs(data["rho_star"] - RHO_STAR) < 1e-6
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--mu", "1e-300", "--rho", "1e-10:1:3"], "--rho"),
+    (["optimum", "--mu", "1e-300", "--bracket", "1e-10:1"], "--bracket")])
+def test_subnormal_arrival_rate_exits_one_naming_the_flag(argv, flag):
+    # rho * mu = 1e-310 is below the normal floats, so 1/lam overflows
+    rc, _, err = _run(argv, budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith(f"error: {flag}: ")
+
+
+def test_infodensity_blames_target_for_its_default_gamma():
+    rc, _, err = _run(["infodensity", "--lam", "1", "--mu", "1", "--n", "10",
+                       "--trials", "3", "--target", "-1"], budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith("error: --target: ")
+    rc, _, err = _run(["infodensity", "--lam", "1", "--mu", "1", "--n", "10",
+                       "--trials", "3", "--target", "-1", "--gamma", "0"],
+                      budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith("error: --gamma: ")
+
+
+def test_bounds_cas_column_certifies_at_large_erlang_shape(tmp_path):
+    # the quadrature's panel around the service law's bulk was ~0.5 wide,
+    # against a bulk ~3e-3 wide at this shape
+    out = tmp_path / "x.csv"
+    assert main(["bounds", "--mu", "1", "--service", "erlang:100000:100000",
+                 "--rho", "0.5:1:2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[2:]]
+    assert len(rows) == 2 and all(float(r[3]) > 0.0 for r in rows)
+
+
 @pytest.mark.parametrize("fixture", [
     {"arrival_gaps": [0, 1], "service_times": [2.5, 1.0], "n": 1},
     {"arrival_gaps": [1, 1, 1], "service_times": [2.5, 1.0], "n": 1},
@@ -724,13 +769,15 @@ SERVICES = ("erlang:2:2", *LARGE_ERLANG, "uniform:0:2", "uniform:0.999:1.001",
             "det:1", "exp:inf", "uniform:0:inf", "gamma:1")
 LAWS = st.one_of(_float("mu", 1.0, 2.0), _option("service", *SERVICES))
 BOUNDS = _argv("bounds", _float("mu", 1.0),
-               _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3"),
+               _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3",
+                       "1e-10:1:3"),
                _maybe(_option("service", "erlang:2:2", "uniform:0:2",
                               "uniform:0.999:1.001", "det:1", "exp:2",
                               "uniform:0:inf")),
                _maybe(st.just(["--log"])), _maybe(st.just(["--no-cas"])))
 OPTIMUM = _argv("optimum", _float("mu", 1.0, 2.0),
-                _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3"),
+                _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3", "0.3:1e9",
+                        "0.3:1e300", "1e-10:1", "0.45:0.46"),
                 _maybe(_float("tol", 1e-3, 1e-300)))
 SIMULATE = _argv("simulate", _float("lam", 0.5, 2.0),
                  _size("simulate", "n", 1, 5), LAWS,

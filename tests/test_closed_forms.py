@@ -207,7 +207,8 @@ def test_exact_erlang_sum_density_with_negligible_service():
     assert np.allclose(exact, math.log(lam) - lam * d, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("k, rho", [(1000, 0.05), (1000, 0.5), (500, 0.5)])
+@pytest.mark.parametrize("k, rho", [(1000, 0.05), (1000, 0.5), (500, 0.5),
+                                    (3000, 10.0)])
 def test_cas_bound_with_large_erlang_shape_matches_mpmath(k, rho):
     # mean service 1, so rho = lam; the old 1F1(k; k+1; .) underflowed at
     # these shapes, and the converse came out too low or did not certify
@@ -473,3 +474,27 @@ def test_sharper_erlang_service_lowers_entropy_and_raises_the_bound():
     bounds = [universal_bound_at(0.2, Erlang(k, float(k))) for k in shapes]
     assert all(a > b for a, b in zip(entropies, entropies[1:]))
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+
+# Mean-1 Erlang shapes past 2000, at which the entropy quadrature's panels,
+# graded toward 0 alone, grew far wider than the service law's bulk
+LARGE_SHAPES = (3000, 10**4, 10**5, 10**6, 2**20, 10**8, 2**30, 2**40, 2**53)
+LOADS = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
+
+
+def test_erlang_sum_entropy_certifies_across_shapes_rates_and_loads():
+    for k in (1, 2, 3, 5, 10, 50, 100, 1000, 2000):
+        for beta in (float(k), 2.0, 0.5):
+            for lam in np.geomspace(1e-3, 1e3, 7):
+                h = NumericalConvolution(lam, Erlang(k, beta)).entropy()
+                assert h >= Erlang(k, beta).entropy() - ENTROPY_ABS_TOL
+
+
+@pytest.mark.parametrize("lam", LOADS)
+def test_erlang_sum_entropy_tends_to_the_point_mass_limit(lam):
+    # Erlang(k, k) tends to a point mass at 1, and h(D) to h(W) = 1 - log lam;
+    # every shape certifies, and the gap falls as k grows
+    gaps = [abs(NumericalConvolution(lam, Erlang(k, float(k))).entropy()
+                - (1.0 - math.log(lam))) for k in LARGE_SHAPES]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-6

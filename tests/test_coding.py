@@ -14,9 +14,9 @@ from timingq import (
     encode,
     idle_path,
     ml_decode,
-    reconstruct_idle,
     simulate,
 )
+from timingq.coding import _idle_times
 from timingq.queue_sim import _extend_epochs
 
 
@@ -50,7 +50,7 @@ def test_distinct_messages_differ_within_first_hundred():
 def test_codeword_shape_invariants():
     book = Codebook(M=5, seed=1, inter_arrival=Exponential(2.0))
     for u in (1, 3, 5):
-        ep = book.epochs(u, beyond=50.0)
+        ep = book.epoch_matrix(50.0)[u - 1]
         assert ep[0] == 0.0
         assert np.all(np.diff(ep) > 0.0)
         assert ep[-1] > 50.0
@@ -58,8 +58,8 @@ def test_codeword_shape_invariants():
 
 def test_epoch_prefix_stable_under_lazy_extension():
     book = Codebook(M=2, seed=31, inter_arrival=Exponential(1.0))
-    short = book.epochs(1, beyond=5.0).copy()
-    long = book.epochs(1, beyond=500.0)
+    short = book.epoch_matrix(5.0)[0].copy()
+    long = book.epoch_matrix(500.0)[0]
     assert np.array_equal(long[: short.size], short)
 
 
@@ -79,7 +79,6 @@ def test_epoch_matrix_rows_accumulate_the_encoded_gaps(law):
         for u in (1, 2, 3):
             sent = np.array(take(encode(book, u), width))
             assert np.array_equal(mat[u - 1], _extend_epochs(0.0, sent))
-            assert np.array_equal(book.epochs(u, beyond), mat[u - 1])
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -100,7 +99,6 @@ def test_explicit_epoch_matrix_is_padded_cumsum():
         row = np.full(4, np.inf)
         row[: len(word)] = np.cumsum(word)
         assert np.array_equal(mat[u - 1], row)
-        assert np.array_equal(book.epochs(u, 0.0), np.cumsum(word))
 
 
 def test_explicit_codebook_validation():
@@ -128,15 +126,40 @@ def test_message_out_of_range():
 
 # ------------------------------------------------------- idle reconstruction
 
-def test_reconstruct_idle_hand_trace():
+def test_idle_path_hand_trace():
     book = Codebook.from_sequences([[0.0, 1.0, 1.0, 1.0]])
-    assert reconstruct_idle(book, 1, [2.5]) == 0.5
+    assert idle_path(book, 1, [2.5, 1.0]).tolist() == [0.5]
 
 
-def test_reconstruct_idle_small_departure():
+def test_idle_path_small_departure():
     # departure before the first codeword arrival: w_0 = A_1 - d_0
     book = Codebook.from_sequences([[0.0, 4.0, 1.0]])
-    assert reconstruct_idle(book, 1, [2.5]) == 1.5
+    assert idle_path(book, 1, [2.5, 1.0]).tolist() == [1.5]
+
+
+def test_idle_path_reads_the_padding_of_a_short_row_as_its_end():
+    # row 2 is [0, 2, inf, inf]: past its last arrival, every idle is inf,
+    # as over the stripped row [0, 2]; row 1 runs out only after 3
+    book = Codebook.from_sequences([[0.0, 1.0, 1.0, 1.0], [0.0, 2.0]])
+    d = [2.5, 1.0, 1.0]
+    assert np.isinf(book.epoch_matrix(3.5)[1, 2])
+    assert idle_path(book, 1, d).tolist() == [0.5, math.inf]
+    assert idle_path(book, 2, d).tolist() == [math.inf, math.inf]
+    t = np.cumsum(d)[:-1]
+    assert np.array_equal(idle_path(book, 2, d), _idle_times(np.array([0.0, 2.0]), t))
+    # a departure before the short row ends still finds its arrival
+    assert idle_path(book, 2, [1.5, 1.0]).tolist() == [0.5]
+
+
+def test_idle_path_checks_its_inputs():
+    book = Codebook.from_sequences([[0.0, 1.0]])
+    for u in (0, 2):
+        with pytest.raises(ValueError, match="message index"):
+            idle_path(book, u, [1.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        idle_path(book, 1, [1.0, -1.0])
+    # no departure past the zeroth: no idle time to replay
+    assert idle_path(book, 1, [2.5]).size == 0
 
 
 def test_true_message_idles_reproduced_exactly():
@@ -158,9 +181,11 @@ def test_true_message_idles_reproduced_exactly():
         d = trace.inter_departures
         path = idle_path(book, u, d)
         assert np.array_equal(path, trace.idle_times)
+        # a prefix of the departures replays the same idles, however far
+        # the epoch matrix has been extended by then
         for i in (1, 57, 130, 200):
-            w = reconstruct_idle(book, u, d[:i])
-            assert w == trace.idle_times[i - 1]
+            assert np.array_equal(idle_path(book, u, d[:i + 1]),
+                                  trace.idle_times[:i])
 
 
 # ---------------------------------------------------------------- decoding
