@@ -1,7 +1,7 @@
 """Where does the timing channel peak?
 
 Sweeps the arrival-to-service ratio, tabulates the achievable rate against
-the two converse bounds, and refines the peak. Writes the curve to
+the universal converse bound, and refines the peak. Writes the curve to
 bound_curves.csv under $TIMINGQ_OUTDIR when that is set (as the CLI does
 with relative --out paths), else in the current directory, and prints the
 headline numbers.

@@ -27,7 +27,8 @@ import numpy as np
 from . import _output
 from .bounds import rate_R
 from .coding import Codebook, DecodeFailure, encode, ml_decode
-from .distributions import Exponential, NumericalConvolution
+from .distributions import (Exponential, NumericalConvolution, _require_count,
+                            _require_rate)
 from .queue_sim import SimConfig, expected_decode_time, simulate
 
 __all__ = [
@@ -56,10 +57,7 @@ def info_density_trial(lam: float, service, n: int, rng: np.random.Generator) ->
     then noiseless and the information density diverges.  Raises
     TrialFailure if any sampled point has zero density under its own law.
     """
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    decode_time = expected_decode_time(lam, service, n)  # checks lam and n
     dep = NumericalConvolution(lam, service)
     idles = rng.exponential(1.0 / lam, size=n)
     services = np.asarray(service.sample(rng, size=n), dtype=float)
@@ -70,7 +68,7 @@ def info_density_trial(lam: float, service, n: int, rng: np.random.Generator) ->
         raise TrialFailure("zero density at a sampled point")
 
     density = float(np.sum(log_fs) - np.sum(log_fd))
-    return density / expected_decode_time(lam, service, n)
+    return density / decode_time
 
 
 @dataclass
@@ -140,7 +138,7 @@ def _run_trials(fn, trials: int, threads: int):
         except TrialFailure:
             return None
 
-    if threads <= 1:
+    if _require_count(threads, "threads") == 1:
         return [guarded(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(guarded, range(trials)))
@@ -156,13 +154,8 @@ def info_density_report(lam: float, service, n: int, trials: int,
     Trial t draws from a stream keyed by (seed, n, t), so schedules and
     thread counts never change any sample.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    mu = 1.0 / service.mean()
-    if target is None:
-        target = rate_R(lam, mu)
-    if gamma is None:
-        gamma = 0.05 * target
+    n, trials = _require_count(n, "n"), _require_count(trials, "trials")
+    target, gamma = _target_and_gamma(lam, service, target, gamma)
 
     def one(t: int) -> float:
         rng = np.random.default_rng(
@@ -172,26 +165,47 @@ def info_density_report(lam: float, service, n: int, trials: int,
     raw = _run_trials(one, trials, threads)
     kept = np.array([x for x in raw if x is not None], dtype=float)
     return InfoDensityReport(
-        lam=lam, mu=mu, service_kind=type(service).__name__, n=n,
-        trials=trials, target=float(target), gamma=float(gamma),
+        lam=lam, mu=1.0 / service.mean(), service_kind=type(service).__name__, n=n,
+        trials=trials, target=target, gamma=gamma,
         densities=kept, failed_trials=sum(x is None for x in raw))
 
 
+def _target_and_gamma(lam, service, target, gamma) -> tuple[float, float]:
+    """The target rate and the slack gamma below it, defaulted and checked:
+    a target must be finite and gamma positive and finite.  A default gamma
+    that is not is refused in the name of what it came from: the target, or
+    lam when the target is its default too (the rate reads 0 past rho ~ 1e16).
+    """
+    source = f"target = {target} gives"
+    if target is None:
+        target = rate_R(lam, 1.0 / service.mean())
+        source = f"lam = {lam} gives the default target {target}, and"
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    if gamma is None:
+        gamma = 0.05 * target
+        if not gamma > 0:
+            raise ValueError(f"{source} a default gamma, 5% of the target, "
+                             f"of {gamma}; gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    return float(target), float(gamma)
+
+
 def empirical_liminf(lam: float, service, n_schedule, trials: int,
-                     target: float, gamma: float,
+                     target: float | None = None, gamma: float | None = None,
                      seed: int = DEFAULT_TRIAL_SEED,
                      threads: int = 1) -> list[InfoDensityReport]:
     """Tail-fraction table over an increasing n schedule.
 
     For an achievable target the fraction of trials below target - gamma
     must decay toward zero as n grows; for an unachievable target it tends
-    to one.
+    to one.  target and gamma default as in `info_density_report`.
     """
-    ns = [int(n) for n in n_schedule]
+    ns = [_require_count(n, "n_schedule entry") for n in n_schedule]
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_schedule must be strictly increasing")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise ValueError(f"n_schedule must be strictly increasing, got {ns}")
+    target, gamma = _target_and_gamma(lam, service, target, gamma)
     return [info_density_report(lam, service, n, trials, seed=seed,
                                 target=target, gamma=gamma, threads=threads)
             for n in ns]
@@ -204,8 +218,8 @@ def liminf_csv(reports, config: dict | None = None) -> str:
 
 
 def _broadcast_schedules(M_schedule, n_schedule):
-    Ms = [int(m) for m in np.atleast_1d(M_schedule)]
-    ns = [int(n) for n in np.atleast_1d(n_schedule)]
+    Ms = [_require_count(m, "M_schedule entry") for m in np.atleast_1d(M_schedule)]
+    ns = [_require_count(n, "n_schedule entry") for n in np.atleast_1d(n_schedule)]
     if len(Ms) == 1:
         Ms = Ms * len(ns)
     if len(ns) == 1:
@@ -228,15 +242,11 @@ def decode_rate_experiment(M_schedule, lam: float, mu: float, n_schedule,
     failure counts as an error.  Rows report the error rate and the
     operating rate log(M) / T_n.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    service = Exponential(mu)
+    _require_rate(lam, "lam")
+    trials = _require_count(trials, "trials")
+    service = Exponential(_require_rate(mu, "mu"))
     rows = []
     for cell, (M, n) in enumerate(_broadcast_schedules(M_schedule, n_schedule)):
-        if M < 1 or n < 1:
-            raise ValueError("M and n must be positive")
 
         def one(t: int, M=M, n=n, cell=cell) -> bool:
             rng = np.random.default_rng(

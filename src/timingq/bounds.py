@@ -1,4 +1,4 @@
-"""Capacity bounds for the bufferless timing queue.
+"""Capacity bounds and achievable rates for the bufferless timing queue.
 
 Three related quantities, all in nats per unit time unless noted:
 
@@ -10,9 +10,11 @@ Three related quantities, all in nats per unit time unless noted:
   information over mean-constrained nonnegative inputs (`c_upper`) with the
   max-entropy inequality.  The `_at` form is parametrized by arrival rate;
   its supremum over arrival rates is the closed two-case form.
-* `cas_bound`: a tighter converse specific to Poisson arrivals, where the
-  idle time is exactly exponential: mutual information between idle time
-  and inter-departure time per mean cycle.
+* `cas_bound`: the achievable rate of Poisson arrivals, whose idle time is
+  exactly exponential: mutual information between idle time and
+  inter-departure time per mean cycle.  It is the rate of one feasible
+  input, so it lies below the universal bound, and `rate_R` is its
+  exponential-service case.
 
 `sweep` tabulates the normalized curves on a rho = lam/mu grid and
 `maximize_rate` locates the peak of the normalized rate, which lands at
@@ -31,6 +33,7 @@ from .distributions import (
     Deterministic,
     Exponential,
     NumericalConvolution,
+    _require_rate,
     hypoexp_entropy,
 )
 
@@ -62,10 +65,9 @@ def rate_R(lam: float, mu: float) -> float:
     two-rate sum law) minus the exponential service entropy 1 - log mu.
     Denominator: the mean renewal cycle 1/lam + 1/mu.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
-    # h(D) >= h(S) since D = W + S with W independent; at rho >= 1e16 the
-    # closed-form difference rounds to about -1e-16
+    # hypoexp_entropy holds lam and mu to the rate rule.  h(D) >= h(S) since
+    # D = W + S with W independent; at rho >= 1e16 the closed-form
+    # difference rounds to about -1e-16
     gain = hypoexp_entropy(lam, mu) - 1.0 + math.log(mu)
     return max(gain, 0.0) / (1.0 / lam + 1.0 / mu)
 
@@ -78,8 +80,9 @@ def c_upper(a: float, service) -> float:
     among positive variables of that mean the exponential maximizes
     entropy.  Monotone increasing and concave in a.
     """
-    if a < 0:
-        raise ValueError(f"input mean budget must be nonnegative, got {a}")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"a, the input mean budget, must be nonnegative and finite, "
+                         f"got {a}")
     return 1.0 + math.log(a + service.mean()) - service.entropy()
 
 
@@ -89,10 +92,8 @@ def universal_bound_at(lam: float, service) -> float:
     The sender's idle times have mean at most the mean arrival gap 1/lam,
     so the rate is at most c_upper(1/lam)/(1/lam + E[S]).
     """
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
-    cycle = 1.0 / lam + service.mean()
-    return c_upper(1.0 / lam, service) / cycle
+    budget = 1.0 / _require_rate(lam, "lam")
+    return c_upper(budget, service) / (budget + service.mean())
 
 
 def universal_bound(service) -> float:
@@ -113,7 +114,7 @@ def universal_bound(service) -> float:
 
 
 def cas_bound(lam: float, service) -> float:
-    """Poisson-arrival converse, nats per unit time.
+    """Achievable rate of Poisson arrivals at rate lam, nats per unit time.
 
     Mutual information between the (exponential, rate lam) idle time and
     the inter-departure time, divided by the mean cycle:
@@ -125,12 +126,11 @@ def cas_bound(lam: float, service) -> float:
     A point-mass service makes the channel from idle time to departure
     time noiseless, so the bound is +inf (and vacuous).
     """
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam}")
+    sum_law = NumericalConvolution(lam, service)  # checks lam
     if isinstance(service, Deterministic):
         return math.inf
     # a mutual information: a quadrature within its tolerance below 0 reads 0
-    gain = max(NumericalConvolution(lam, service).entropy() - service.entropy(), 0.0)
+    gain = max(sum_law.entropy() - service.entropy(), 0.0)
     return gain / (1.0 / lam + service.mean())
 
 
@@ -144,8 +144,9 @@ class BoundCurve:
     """Normalized bound curves tabulated on a rho grid.
 
     All columns are in nats per mean service time.  rate_R_norm is the
-    exponential-service achievable rate; universal_norm and cas_norm are
-    the two converses evaluated for `service_kind`.
+    exponential-service achievable rate; universal_norm is the universal
+    converse and cas_norm the Poisson-input achievable rate, both evaluated
+    for `service_kind`.
     """
 
     rho_grid: np.ndarray
@@ -172,20 +173,24 @@ class BoundCurve:
 
 
 def sweep(rho_grid, mu: float, service=None, include_cas: bool = True) -> BoundCurve:
-    """Tabulate normalized rate and converse curves over rho = lam/mu.
+    """Tabulate normalized rate and bound curves over rho = lam/mu.
 
-    `service` defaults to exponential with rate mu.  The cas column is the
-    slowest (for Erlang service, an entropy quadrature per grid point) and
-    can be skipped, in which case it is filled with NaN.
+    `service` defaults to exponential with rate mu and must have mean 1/mu,
+    since the rate column, the exponential(mu) rate, lies below the
+    universal column only then.  The cas column is the slowest (for Erlang
+    service, an entropy quadrature per grid point) and can be skipped, in
+    which case it is filled with NaN.
     """
     rho = np.asarray(rho_grid, dtype=float)
-    if rho.ndim != 1 or rho.size == 0 or np.any(rho <= 0):
-        raise ValueError("rho grid must be one-dimensional and positive")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if rho.ndim != 1 or rho.size == 0:
+        raise ValueError("rho_grid must be one-dimensional and nonempty")
+    mu = _require_rate(mu, "mu")
+    _check_load_range("rho_grid", rho.min(), rho.max(), mu)
     if service is None:
         service = Exponential(mu)
     mean = service.mean()
+    if not math.isclose(mean, 1.0 / mu, rel_tol=1e-9):
+        raise ValueError(f"service has mean {mean!r}, not 1/mu = {1.0 / mu!r}")
 
     rate = np.array([rate_R(r * mu, mu) / mu for r in rho])
     universal = np.array([universal_bound_at(r * mu, service) * mean for r in rho])
@@ -214,15 +219,12 @@ class OptimumReport:
         return asdict(self)
 
 
-def _check_load_range(lo: float, hi: float, mu: float) -> None:
-    # the arrival rate rho * mu must be an exponential rate at both ends of
-    # a rho range, and so, the valid rates being an interval, throughout it
-    for rho in (lo, hi):
-        try:
-            Exponential(rho * mu)
-        except ValueError as exc:
-            raise ValueError(
-                f"the arrival rate rho * mu at rho = {rho!r}: {exc}") from None
+def _check_load_range(name: str, lo: float, hi: float, mu: float) -> None:
+    # the arrival rate rho * mu must obey the rate rule at both ends of a
+    # rho range, and so, the valid rates being an interval, throughout it
+    for rho in (float(lo), float(hi)):
+        _require_rate(rho * mu, f"{name} holds rho = {rho!r}, at which the "
+                                "arrival rate rho * mu")
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float):
@@ -262,17 +264,16 @@ def maximize_rate(mu: float, bracket: tuple[float, float] = (0.01, 2.0),
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    mu = _require_rate(mu, "mu")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    _check_load_range(lo, hi, mu)
+    _check_load_range("bracket", lo, hi, mu)
 
     def f(rho: float) -> float:
         return rate_R(rho * mu, mu) / mu
 
     rho_star, value = _golden_section_max(f, lo, hi, tol)
     if not value > max(f(lo), f(hi)):
-        raise ValueError(f"no interior maximum inside bracket {bracket}")
+        raise ValueError(f"bracket {bracket} has no interior maximum")
     return OptimumReport(rho_star=float(rho_star), value=float(value),
                          bracket=(lo, hi), tolerance=tol)

@@ -8,6 +8,8 @@ success, 1 on validation failure (the message names the offending field),
 
 Rate and count flags are checked by their argparse types as they are
 parsed, so a bad value exits 1 even where the command ignores the flag.
+Every other rule is the library's: the command makes the library call and
+names the flag behind the parameter the library refused.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .distributions import (
     Exponential,
     QuadratureError,
     Uniform,
+    _require_count,
 )
 
 # numpy, scipy.special, argparse and timingq leave ~40k container objects
@@ -98,12 +101,9 @@ def parse_grid(text: str, log: bool = False) -> np.ndarray:
 
 def parse_int_list(text: str, field: str) -> list[int]:
     try:
-        values = [int(x) for x in text.split(",")]
+        return [_require_count(int(x), "each entry") for x in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"{field}: {exc}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ValidationError(f"{field}: need positive integers, got {text!r}")
-    return values
 
 
 def rate(text: str) -> float:
@@ -117,10 +117,14 @@ def rate(text: str) -> float:
 
 def count(text: str) -> int:
     # an argparse type, so named for its "invalid count value: '1.5'" message
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+    return _require_count(int(text), "count")
+
+
+def _refused(exc: ValueError, flags: dict, other: str) -> ValidationError:
+    # a library check starts its message with the parameter it refuses;
+    # `flags` names the flag behind each, and `other` takes the rest
+    param = str(exc).split(" ", 1)[0]
+    return ValidationError(f"{flags.get(param, other)}: {exc}")
 
 
 def _require_budget(flags: str, items: int, bytes_per_item: float) -> None:
@@ -149,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--service", default=None,
                    help="service as kind:params (default exponential:MU)")
     p.add_argument("--no-cas", action="store_true",
-                   help="skip the Poisson-arrival converse column")
+                   help="skip the Poisson-input achievable-rate column")
     add_common(p)
 
     p = sub.add_parser("optimum", help="maximize the normalized rate over rho")
@@ -219,23 +223,12 @@ def _config_dict(args) -> dict:
 
 def _cmd_bounds(args) -> str:
     grid = parse_grid(args.rho, args.log)
-    try:
-        bounds._check_load_range(float(grid[0]), float(grid[-1]), args.mu)
-    except ValueError as exc:
-        raise ValidationError(f"--rho: {exc}") from None
     service = parse_service(args.service) if args.service else None
-    if isinstance(service, Deterministic):
-        raise ValidationError(
-            "--service: a point mass has no differential entropy, "
-            "so the universal bound is undefined")
-    if service is not None and not math.isclose(service.mean(), 1.0 / args.mu,
-                                                 rel_tol=1e-9):
-        raise ValidationError(
-            f"--service: mean {service.mean()!r} differs from 1/--mu = "
-            f"{1.0 / args.mu!r}; the rate column is the exponential(mu) rate, "
-            "which stays below the converse only at the same mean")
-    curve = bounds.sweep(grid, args.mu, service=service,
-                         include_cas=not args.no_cas)
+    try:
+        curve = bounds.sweep(grid, args.mu, service=service,
+                             include_cas=not args.no_cas)
+    except ValueError as exc:  # a load that is not a rate, or the service's mean or law
+        raise _refused(exc, {"rho_grid": "--rho"}, "--service") from None
     return curve.to_csv(_config_dict(args))
 
 
@@ -243,13 +236,11 @@ def _cmd_optimum(args) -> str:
     parts = args.bracket.split(":")
     if len(parts) != 2:
         raise ValidationError(f"--bracket: expected lo:hi, got {args.bracket!r}")
-    if not 0 < args.tol < math.inf:
-        raise ValidationError(f"--tol: must be positive and finite, got {args.tol}")
-    try:  # a malformed number or a bracket maximize_rate refuses
+    try:  # a malformed number, or a bracket or tol that maximize_rate refuses
         bracket = (float(parts[0]), float(parts[1]))
         report = bounds.maximize_rate(args.mu, bracket=bracket, tol=args.tol)
     except ValueError as exc:
-        raise ValidationError(f"--bracket: {exc}") from exc
+        raise _refused(exc, {"tol": "--tol"}, "--bracket") from None
     payload = {"config": _config_dict(args), **report.as_dict()}
     return _output.json_text(payload)
 
@@ -264,7 +255,7 @@ def _cmd_simulate(args) -> str:
             service = fixture["service_times"]
             trace = queue_sim.simulate(queue_sim.SimConfig(
                 arrival=fixture["arrival_gaps"], service=service,
-                n=int(fixture.get("n", len(service) - 1)), seed=args.seed))
+                n=fixture.get("n", len(service) - 1), seed=args.seed))
         except (OSError, KeyError, ValueError, TypeError, OverflowError,
                 queue_sim.ArrivalsExhausted) as exc:
             raise ValidationError(f"--fixture: {exc}") from exc
@@ -284,24 +275,18 @@ def _cmd_simulate(args) -> str:
 def _cmd_infodensity(args) -> str:
     service = _service_from_args(args)
     schedule = parse_int_list(args.n, "--n")
-    target = args.target
-    if target is None:
-        target = bounds.rate_R(args.lam, 1.0 / service.mean())
-    if not math.isfinite(target):
-        raise ValidationError(f"--target: must be finite, got {target}")
-    gamma = args.gamma if args.gamma is not None else 0.05 * target
-    if not 0 < gamma < math.inf:
-        # an omitted --gamma is 5% of the target
-        flag = "--gamma" if args.gamma is not None else "--target"
-        raise ValidationError(f"{flag}: gamma must be positive and finite, got {gamma}")
-    if len(schedule) > 1 and any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValidationError(f"--n: schedule must be increasing, got {args.n!r}")
-    # one result per trial, and the arrays of each trial in flight
+    # one result per trial, and the arrays of each trial in flight; the
+    # library refuses a schedule that does not increase before any work
     _require_budget("--n, --trials, --threads", args.trials
                     + schedule[-1] * min(args.threads, args.trials), 96)
-    reports = achievability.empirical_liminf(
-        args.lam, service, schedule, args.trials, target=target, gamma=gamma,
-        seed=args.seed, threads=args.threads)
+    try:
+        reports = achievability.empirical_liminf(
+            args.lam, service, schedule, args.trials, target=args.target,
+            gamma=args.gamma, seed=args.seed, threads=args.threads)
+    except ValueError as exc:
+        raise _refused(exc, {"n_schedule": "--n", "target": "--target",
+                             "gamma": "--gamma", "lam": "--lam"},
+                       "--service/--mu") from None
     if args.format == "json":
         payload = {"config": _config_dict(args),
                    "rows": [r.as_dict() for r in reports]}

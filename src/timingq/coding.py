@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _require_count
 from .queue_sim import _extend_epochs, _first_after
 
 __all__ = ["Codebook", "DecodeResult", "DecodeFailure",
@@ -71,9 +72,7 @@ class Codebook:
     """
 
     def __init__(self, M: int, seed: int, inter_arrival, sequences=None):
-        if M < 1:
-            raise ValueError(f"M must be at least 1, got {M}")
-        self.M = int(M)
+        self.M = _require_count(M, "M")
         self.seed = int(seed) & (2**64 - 1)
         if sequences is None and not hasattr(inter_arrival, "ppf"):
             raise TypeError(f"inter_arrival: need a law with ppf, got {inter_arrival!r}")

@@ -17,6 +17,7 @@ units; every distribution here lives on the nonnegative half-line.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,17 +72,37 @@ def _maybe_scalar(out, scalar):
     return float(np.asarray(out).item())
 
 
+def _require_rate(value, name: str) -> float:
+    """The rate rule: `value` is positive and finite, with a finite
+    reciprocal, so that it can stand for a rate and 1/value for a mean.
+    Returns it as a float; raises ValueError naming `name` otherwise."""
+    try:
+        x = float(value)
+        if 0 < x < math.inf and 1.0 / x < math.inf:
+            return x
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValueError(f"{name} must be positive and finite with a finite reciprocal "
+                     f"(a value that overflows a float is not), got {value}")
+
+
+def _require_count(value, name: str) -> int:
+    """The count rule: `value` is an integer (of any integer type, never a
+    float it would truncate) of at least 1.  Returns it as an int; raises
+    ValueError naming `name` otherwise."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _require_finite_mean(law) -> None:
     # an infinite mean service time never ends: the simulator would wait
     # forever for an infinite departure epoch, and 1/mean is a zero rate;
     # a mean whose reciprocal overflows is an infinite rate
-    try:
-        mean = law.mean()
-        finite = 0 < mean < math.inf and 1.0 / mean < math.inf
-    except OverflowError:  # a parameter too large for a float
-        finite = False
-    if not finite:
-        raise ValueError(f"the mean of {law!r} or its reciprocal overflows")
+    try:  # law.mean() overflows on a parameter too large for a float
+        _require_rate(law.mean(), "mean")
+    except (OverflowError, ValueError):
+        raise ValueError(f"the mean of {law!r} or its reciprocal overflows") from None
 
 
 @lru_cache(maxsize=8)
@@ -175,8 +196,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        _require_rate(self.rate, "rate")
         _require_finite_mean(self)
 
     def mean(self) -> float:
@@ -206,9 +226,7 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not 0 < self.value < math.inf:
-            raise ValueError(f"value must be positive and finite, got {self.value}")
-        _require_finite_mean(self)
+        _require_rate(self.value, "value")  # the value is the mean
 
     def mean(self) -> float:
         return self.value
@@ -244,10 +262,8 @@ class Erlang:
     rate: float
 
     def __post_init__(self):
-        if int(self.shape) != self.shape or self.shape < 1:
-            raise ValueError(f"shape must be a positive integer, got {self.shape}")
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        _require_count(self.shape, "shape")
+        _require_rate(self.rate, "rate")
         _require_finite_mean(self)
         if self.shape > 2**53:
             raise ValueError(f"shape must be at most 2**53, the largest at which "
@@ -344,10 +360,7 @@ def hypoexp_entropy(lam: float, mu: float) -> float:
     Below 1e-9 relative separation the density's Erlang-2 branch applies
     and so does its entropy, 1 + gamma - log r.
     """
-    for name, rate in (("lam", lam), ("mu", mu)):
-        if not 0 < rate < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {rate}")
-    a, b = _two_rates(lam, mu)
+    a, b = _two_rates(_require_rate(lam, "lam"), _require_rate(mu, "mu"))
     if a == b:
         return 1.0 + np.euler_gamma - math.log(a)
     z = b / (b - a)
@@ -524,12 +537,10 @@ class NumericalConvolution:
     """
 
     def __init__(self, lam: float, service):
-        if not 0 < lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        self.lam = _require_rate(lam, "lam")
         if type(service) not in _EXACT_SUM_LOG_PDF:
             raise ValueError(
                 f"no exact W + S density for service {type(service).__name__}")
-        self.lam = float(lam)
         self.service = service
 
     def log_pdf(self, d):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _output
+from .distributions import _require_count, _require_rate
 
 __all__ = [
     "ArrivalsExhausted",
@@ -104,8 +105,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        self.n = _require_count(self.n, "n")
 
 
 @dataclass
@@ -239,7 +239,7 @@ def expected_decode_time(lam: float, service, n: int) -> float:
     plus n cycles of mean idle (1/lam, by memorylessness of the arrivals)
     and mean service."""
     mean = service.mean()
-    return mean + n * (1.0 / lam + mean)
+    return mean + _require_count(n, "n") * (1.0 / _require_rate(lam, "lam") + mean)
 
 
 def trace_csv(trace: QueueTrace, config: dict | None = None) -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -641,6 +642,15 @@ def test_infodensity_blames_target_for_its_default_gamma():
     assert rc == 1 and err.startswith("error: --gamma: ")
 
 
+def test_infodensity_blames_lam_for_a_default_target_of_zero():
+    # the default target, the achievable rate at lam, reads 0 past rho ~ 1e16,
+    # so its default gamma is 0; --target was not given and is not named
+    rc, _, err = _run(["infodensity", "--lam", "1e20", "--mu", "1", "--n", "10",
+                       "--trials", "2"], budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith("error: --lam: ")
+    assert "default target 0.0" in err and "--target" not in err
+
+
 def test_bounds_cas_column_certifies_at_large_erlang_shape(tmp_path):
     # the quadrature's panel around the service law's bulk was ~0.5 wide,
     # against a bulk ~3e-3 wide at this shape
@@ -713,22 +723,32 @@ OVER_BUDGET = {("simulate", "n"): 2**22, ("infodensity", "n"): 2**25,
 FUZZ_BUDGET = 2**24
 
 
-def _argv(command, *slots):
-    """argv for `command`: one fragment is drawn from each slot (a strategy
-    for [flag, value], [flag] or []), then at most one fragment is dropped
-    or has its value replaced by a malformed or non-finite number.  Each
+def _argv(command, *slots, replace=False):
+    """(argv, flag, clean) for `command`: one fragment is drawn from each
+    slot (a strategy for [flag, value], [flag] or []), then at most one
+    fragment is dropped or has its value replaced by a malformed or
+    non-finite number; with `replace`, always one value is replaced.  Each
     fragment is passed as one `--flag=value` word, so a value may start
-    with "-".
+    with "-".  For a replaced value, `flag` is its flag and `clean` the
+    argv before the replacement; else both are None.
     """
-    spoil = st.one_of(st.none(), st.tuples(
-        st.integers(0, len(slots) - 1), st.sampled_from([None] + BAD_NUMBERS)))
+    spoil = st.tuples(st.integers(0, len(slots) - 1),
+                      st.sampled_from(BAD_NUMBERS if replace else [None] + BAD_NUMBERS))
+    if not replace:
+        spoil = st.one_of(st.none(), spoil)
+
+    def words(fragments):
+        return [command] + ["=".join(fragment) for fragment in fragments if fragment]
 
     def build(args):
         fragments, spoiled = list(args[0]), args[1]
+        flag = clean = None
         if spoiled is not None:
             i, bad = spoiled
+            if bad is not None and fragments[i]:
+                flag, clean = fragments[i][0], words(fragments)
             fragments[i] = [] if bad is None else fragments[i][:1] + [bad]
-        return [command] + ["=".join(fragment) for fragment in fragments if fragment]
+        return words(fragments), flag, clean
 
     return st.tuples(st.tuples(*slots), spoil).map(build)
 
@@ -768,38 +788,42 @@ LARGE_ERLANG = ("erlang:1000:1000", "erlang:1099511627776:1099511627776",
 SERVICES = ("erlang:2:2", *LARGE_ERLANG, "uniform:0:2", "uniform:0.999:1.001",
             "det:1", "exp:inf", "uniform:0:inf", "gamma:1")
 LAWS = st.one_of(_float("mu", 1.0, 2.0), _option("service", *SERVICES))
-BOUNDS = _argv("bounds", _float("mu", 1.0),
+# the slots of each command's argv
+SLOTS = {
+    "bounds": (_float("mu", 1.0),
                _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3",
                        "1e-10:1:3"),
                _maybe(_option("service", "erlang:2:2", "uniform:0:2",
                               "uniform:0.999:1.001", "det:1", "exp:2",
                               "uniform:0:inf")),
-               _maybe(st.just(["--log"])), _maybe(st.just(["--no-cas"])))
-OPTIMUM = _argv("optimum", _float("mu", 1.0, 2.0),
+               _maybe(st.just(["--log"])), _maybe(st.just(["--no-cas"]))),
+    "optimum": (_float("mu", 1.0, 2.0),
                 _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3", "0.3:1e9",
                         "0.3:1e300", "1e-10:1", "0.45:0.46"),
-                _maybe(_float("tol", 1e-3, 1e-300)))
-SIMULATE = _argv("simulate", _float("lam", 0.5, 2.0),
+                _maybe(_float("tol", 1e-3, 1e-300))),
+    "simulate": (_float("lam", 0.5, 2.0),
                  _size("simulate", "n", 1, 5), LAWS,
-                 _maybe(_option("fixture", "no/such/fixture.json")))
-INFODENSITY = _argv("infodensity", _float("lam", 0.5, 2.0),
+                 _maybe(_option("fixture", "no/such/fixture.json"))),
+    "infodensity": (_float("lam", 0.5, 2.0),
                     st.one_of(_option("n", "20", "20,40", "40,20"),
                               _size("infodensity", "n", 20)), LAWS,
                     _maybe(_size("infodensity", "trials", 2)),
                     _maybe(_size("infodensity", "threads", 2)),
                     _maybe(_float("target", 0.1)),
                     _maybe(_float("gamma", 0.01)),
-                    _maybe(_option("format", "csv", "json", "xml")))
-# schedules of lengths 1 to 4, which broadcast only at equal lengths or
-# against a single value
-DECODE = _argv("decode",
-               st.one_of(_option("M", "4", "2,3", "3,2,4", "2,4,3,2"),
+                    _maybe(_option("format", "csv", "json", "xml"))),
+    # schedules of lengths 1 to 4, which broadcast only at equal lengths or
+    # against a single value
+    "decode": (st.one_of(_option("M", "4", "2,3", "3,2,4", "2,4,3,2"),
                          _size("decode", "M", 4)),
                st.one_of(_option("n", "2", "2,5", "5,2,3", "3,2,5,2"),
                          _size("decode", "n", 2)),
                _float("lam", 0.5, 2.0), _float("mu", 1.0, 2.0),
                _maybe(_size("decode", "trials", 3)),
-               _maybe(_size("decode", "threads", 2)))
+               _maybe(_size("decode", "threads", 2))),
+}
+BOUNDS, OPTIMUM, SIMULATE, INFODENSITY, DECODE = (
+    _argv(command, *slots) for command, slots in SLOTS.items())
 
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -834,8 +858,24 @@ def _run(argv, budget=FUZZ_BUDGET):
 
 @FUZZ
 @given(st.one_of(BOUNDS, OPTIMUM, SIMULATE, INFODENSITY, DECODE))
-def test_cli_exits_cleanly_on_any_argv(argv):
-    _run(argv)
+def test_cli_exits_cleanly_on_any_argv(case):
+    _check_blame(case)
+
+
+def _check_blame(case):
+    # a run refused only for a replaced value names that value's flag, alone
+    # or in a budget message's list of flags
+    argv, flag, clean = case
+    rc, _, err = _run(argv)
+    if rc == 1 and flag is not None and _run(clean)[0] == 0:
+        assert flag in re.findall(r"--[\w-]+", err), (flag, err)
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.sampled_from(sorted(SLOTS)).flatmap(
+    lambda command: _argv(command, *SLOTS[command], replace=True)))
+def test_cli_names_the_flag_of_a_replaced_value(case):
+    _check_blame(case)
 
 
 @FUZZ
@@ -845,9 +885,9 @@ def test_cli_exits_cleanly_on_any_argv(argv):
           _option("target", "0.1")),
     _argv("simulate", _float("lam", 0.5, 1.0, 2.0), _option("n", "5"),
           _option("service", *LARGE_ERLANG))))
-def test_cli_exits_cleanly_at_large_erlang_shapes(argv):
+def test_cli_exits_cleanly_at_large_erlang_shapes(case):
     # the spoiling above rarely leaves a run that reaches these laws
-    _run(argv)
+    _run(case[0])
 
 
 # valid flags around the size under test
@@ -888,6 +928,7 @@ def test_simulate_exits_cleanly_on_any_fixture(fuzz_fixture, text):
 
 @FUZZ
 @given(st.one_of(INFODENSITY, DECODE))
-def test_threads_leave_stdout_alone(argv):
+def test_threads_leave_stdout_alone(case):
     # stdout and the exit code; a budget message may name the thread count
+    argv = case[0]
     assert _run(argv + ["--threads", "1"])[:2] == _run(argv + ["--threads", "2"])[:2]

@@ -2,17 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from oracles import gl_sum_log_pdf, two_rate_quantile, two_rate_sf
 from timingq import (
+    Codebook,
     Deterministic,
     Erlang,
     Exponential,
     NumericalConvolution,
     QuadratureError,
+    SimConfig,
     Uniform,
+    c_upper,
+    cas_bound,
+    decode_rate_experiment,
+    empirical_liminf,
+    expected_decode_time,
     hypoexp_entropy,
+    info_density_report,
+    info_density_trial,
+    maximize_rate,
+    rate_R,
+    sweep,
+    universal_bound_at,
 )
 
 
@@ -330,6 +345,133 @@ def test_constructors_reject_bad_parameters():
         with pytest.raises(ValueError, match="2\\*\\*53"):
             Erlang(shape, float(shape))
     assert Erlang(2**53, 1.0).mean() == 2.0**53
+
+
+# Every public entry that takes a rate, a count, a gamma or a target, as
+# (the parameter's name in the refusal, a call with that parameter set to
+# the value drawn and every other input valid).  A refusal is a ValueError
+# naming the parameter: never a nan, a silent 0.0, a TypeError or a count
+# truncated to an integer.
+EXP = Exponential(1.0)
+
+
+def _trial(lam, n):
+    return info_density_trial(lam, EXP, n, np.random.default_rng(0))
+
+
+RATE_ENTRIES = [
+    ("rate", Exponential),
+    ("rate", lambda v: Erlang(2, v)),
+    ("value", Deterministic),
+    ("lam", lambda v: hypoexp_entropy(v, 1.0)),
+    ("mu", lambda v: hypoexp_entropy(1.0, v)),
+    ("lam", lambda v: NumericalConvolution(v, EXP)),
+    ("lam", lambda v: rate_R(v, 1.0)),
+    ("mu", lambda v: rate_R(1.0, v)),
+    ("lam", lambda v: universal_bound_at(v, EXP)),
+    ("lam", lambda v: cas_bound(v, EXP)),
+    ("mu", lambda v: sweep([0.5], v)),
+    ("rho_grid", lambda v: sweep([0.5, v], 1.0)),
+    ("mu", lambda v: maximize_rate(v)),
+    ("bracket", lambda v: maximize_rate(1.0, bracket=(v, 2.0))),
+    ("lam", lambda v: expected_decode_time(v, EXP, 5)),
+    ("lam", lambda v: _trial(v, 5)),
+    ("lam", lambda v: info_density_report(v, EXP, 5, 2)),
+    ("lam", lambda v: empirical_liminf(v, EXP, [5], 2)),
+    ("lam", lambda v: decode_rate_experiment([2], v, 1.0, [2], 2)),
+    ("mu", lambda v: decode_rate_experiment([2], 1.0, v, [2], 2)),
+]
+COUNT_ENTRIES = [
+    ("shape", lambda v: Erlang(v, 1.0)),
+    ("M", lambda v: Codebook(v, 0, EXP)),
+    ("n", lambda v: SimConfig(arrival=EXP, service=EXP, n=v)),
+    ("n", lambda v: expected_decode_time(1.0, EXP, v)),
+    ("n", lambda v: _trial(1.0, v)),
+    ("n", lambda v: info_density_report(1.0, EXP, v, 2)),
+    ("trials", lambda v: info_density_report(1.0, EXP, 5, v)),
+    ("threads", lambda v: info_density_report(1.0, EXP, 5, 2, threads=v)),
+    ("n_schedule", lambda v: empirical_liminf(1.0, EXP, [v], 2)),
+    ("trials", lambda v: empirical_liminf(1.0, EXP, [5], v)),
+    ("threads", lambda v: empirical_liminf(1.0, EXP, [5], 2, threads=v)),
+    ("M_schedule", lambda v: decode_rate_experiment([v], 1.0, 1.0, [2], 2)),
+    ("n_schedule", lambda v: decode_rate_experiment([2], 1.0, 1.0, [v], 2)),
+    ("trials", lambda v: decode_rate_experiment([2], 1.0, 1.0, [2], v)),
+    ("threads", lambda v: decode_rate_experiment([2], 1.0, 1.0, [2], 2, threads=v)),
+]
+GAMMA_ENTRIES = [
+    ("gamma", lambda v: info_density_report(1.0, EXP, 5, 2, target=0.1, gamma=v)),
+    ("gamma", lambda v: info_density_report(1.0, EXP, 5, 2, gamma=v)),
+    ("gamma", lambda v: empirical_liminf(1.0, EXP, [5], 2, target=0.1, gamma=v)),
+    # with gamma omitted it is 5% of the target
+    ("target", lambda v: info_density_report(1.0, EXP, 5, 2, target=v)),
+    ("target", lambda v: empirical_liminf(1.0, EXP, [5], 2, target=v)),
+]
+TARGET_ENTRIES = [
+    ("target", lambda v: info_density_report(1.0, EXP, 5, 2, target=v, gamma=0.01)),
+    ("target", lambda v: empirical_liminf(1.0, EXP, [5], 2, target=v, gamma=0.01)),
+]
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# zero, negatives, non-finite values, and positive floats whose reciprocal
+# overflows (those below 2**-1024)
+BAD_RATES = st.one_of(NONFINITE, st.floats(max_value=0.0),
+                      st.floats(min_value=0.0, max_value=5.5e-309))
+# integers below 1, and every float, 2.5 and 2.0 included: a float count
+# would be truncated or cast
+BAD_COUNTS = st.one_of(st.integers(max_value=0), st.floats(),
+                       st.sampled_from([2.5, 2.0]))
+BAD_GAMMAS = st.one_of(NONFINITE, st.floats(max_value=0.0))
+RULES = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _refused(entry, value):
+    name, call = entry
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert name in str(err.value), (name, value, str(err.value))
+
+
+@RULES
+@given(st.sampled_from(RATE_ENTRIES), BAD_RATES)
+def test_every_rate_entry_refuses_what_the_rate_rule_refuses(entry, value):
+    _refused(entry, value)
+
+
+@RULES
+@given(st.sampled_from(COUNT_ENTRIES), BAD_COUNTS)
+def test_every_count_entry_refuses_what_the_count_rule_refuses(entry, value):
+    _refused(entry, value)
+
+
+@RULES
+@given(st.sampled_from(GAMMA_ENTRIES), BAD_GAMMAS)
+def test_every_gamma_entry_refuses_a_gamma_not_positive_and_finite(entry, value):
+    _refused(entry, value)
+
+
+@RULES
+@given(st.sampled_from(TARGET_ENTRIES), NONFINITE)
+def test_every_target_entry_refuses_a_non_finite_target(entry, value):
+    _refused(entry, value)
+
+
+def test_c_upper_refuses_a_budget_not_nonnegative_and_finite():
+    # a budget of 0 is an input that is always 0; nan made the bound nan
+    assert c_upper(0.0, EXP) == 0.0
+    for budget in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            c_upper(budget, EXP)
+
+
+def test_sweep_refuses_a_service_mean_other_than_one_over_mu():
+    # the rate column is the exponential(mu) rate, which lies below the
+    # universal column only at the same mean
+    with pytest.raises(ValueError, match="^service"):
+        sweep([0.5, 1.0], 1.0, service=Uniform(0.0, 4.0))
+    with pytest.raises(ValueError, match="point mass"):
+        sweep([0.5, 1.0], 1.0, service=Deterministic(1.0))
+    curve = sweep([0.5, 1.0], 2.0, service=Uniform(0.0, 1.0), include_cas=False)
+    assert curve.service_kind == "Uniform"
 
 
 def test_quadrature_error_carries_achieved_estimate():
