@@ -174,12 +174,14 @@ def _target_and_gamma(lam, service, target, gamma) -> tuple[float, float]:
     """The target rate and the slack gamma below it, defaulted and checked:
     a target must be finite and gamma positive and finite.  A default gamma
     that is not is refused in the name of what it came from: the target, or
-    lam when the target is its default too (the rate reads 0 past rho ~ 1e16).
+    the load lam E[S] when the target is its default too (the rate reads 0
+    past a load of ~1e16, through lam or the service mean).
     """
     source = f"target = {target} gives"
     if target is None:
         target = rate_R(lam, 1.0 / service.mean())
-        source = f"lam = {lam} gives the default target {target}, and"
+        source = (f"load lam E[S] = {lam * service.mean()} gives the default "
+                  f"target {target}, and")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     if gamma is None:

@@ -118,8 +118,8 @@ def cas_bound(lam: float, service) -> float:
 
     Mutual information between the (exponential, rate lam) idle time and
     the inter-departure time, divided by the mean cycle:
-    [h(W+S) - h(S)] / (1/lam + E[S]), with h(W+S) from
-    `NumericalConvolution.entropy`: the closed form for exponential service,
+    [h(W+S) - h(S)] / (1/lam + E[S]), with h(W+S) the service law's
+    `departure_entropy`: the closed form for exponential service,
     where the bound equals `rate_R`, a dilogarithm form for uniform service,
     and a certified quadrature for Erlang service.
 

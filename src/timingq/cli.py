@@ -285,7 +285,8 @@ def _cmd_infodensity(args) -> str:
             gamma=args.gamma, seed=args.seed, threads=args.threads)
     except ValueError as exc:
         raise _refused(exc, {"n_schedule": "--n", "target": "--target",
-                             "gamma": "--gamma", "lam": "--lam"},
+                             "gamma": "--gamma", "lam": "--lam",
+                             "load": "--lam, --service/--mu"},
                        "--service/--mu") from None
     if args.format == "json":
         payload = {"config": _config_dict(args),

@@ -1,14 +1,17 @@
 """Probability models for service, inter-arrival, and inter-departure durations.
 
 Duration laws expose sampling, exact log-densities, means, quantiles and
-closed-form entropies; Poisson arrivals are Exponential(rate) gaps.
-`NumericalConvolution` describes D = W + S, an exponential idle period
-plus a service duration.  Its density is exact for every service law here
-(exponential, point mass, uniform, Erlang), and it rejects any other law.
-Its entropy is exact for exponential service (the two-rate sum law,
-`hypoexp_entropy`), uniform service and a point mass; for Erlang service
-it is a composite quadrature with certified error, the one place in this
-module that can raise QuadratureError.
+closed-form entropies; Poisson arrivals are Exponential(rate) gaps.  Each
+service law (exponential, point mass, uniform, Erlang) also owns the law
+of D = W + S, an exponential idle period of rate lam plus one service:
+`departure_log_pdf(lam, d)` is its exact log-density, taking a float array
+d and returning an array of its shape, and `departure_entropy(lam)` its
+entropy.  That entropy is exact for exponential service (the two-rate sum
+law, `hypoexp_entropy`), uniform service and a point mass; for Erlang
+service it is a composite quadrature with certified error, the one place
+in this module that can raise QuadratureError.  `NumericalConvolution`
+holds lam to the rate rule and hands D to the service law, refusing a law
+without `departure_log_pdf`.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -218,6 +221,23 @@ class Exponential:
         q, scalar = _as_float_array(q)
         return _maybe_scalar(-np.log1p(-q) / self.rate, scalar)
 
+    def departure_log_pdf(self, lam, d):
+        a, b = _two_rates(lam, self.rate)
+        out = np.full(d.shape, -np.inf)
+        pos = d > 0
+        dp = d[pos]
+        if a == b:
+            out[pos] = 2.0 * math.log(a) + np.log(dp) - a * dp
+        else:
+            # log f = log(ab) - log(b-a) - a d + log(1 - exp(-(b-a) d)),
+            # stable for both tiny and large (b-a) d
+            out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
+                        - a * dp + np.log(-np.expm1(-(b - a) * dp)))
+        return out
+
+    def departure_entropy(self, lam) -> float:
+        return hypoexp_entropy(lam, self.rate)
+
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -248,6 +268,15 @@ class Deterministic:
     def ppf(self, q):
         q, scalar = _as_float_array(q)
         return _maybe_scalar(np.full_like(q, self.value), scalar)
+
+    def departure_log_pdf(self, lam, d):
+        # a shifted exponential
+        x = d - self.value
+        return np.where(x > 0, math.log(lam) - lam * x, -np.inf)
+
+    def departure_entropy(self, lam) -> float:
+        # a point mass only shifts the idle time
+        return 1.0 - math.log(lam)
 
 
 @dataclass(frozen=True)
@@ -299,6 +328,94 @@ class Erlang:
         q, scalar = _as_float_array(q)
         return _maybe_scalar(gammaincinv(self.shape, q) / self.rate, scalar)
 
+    def departure_log_pdf(self, lam, d):
+        # By Kummer's transformation, with x = (beta - lam) d,
+        #   f_D(d) = lam (beta d)^k e^(-beta d) / k! * 1F1(1; k+1; x),
+        # the first factor being `_log_poisson`'s.  The branches differ in how
+        # they reach log 1F1(1; k+1; x):
+        # * past x = k, 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), P the regularized
+        #   lower incomplete gamma function, which lies in (1/2, 1] there; the
+        #   two Poisson factors cancel in closed form, to
+        #     f_D(d) = lam (beta / (beta - lam))^k e^(-lam d) P(k, x),
+        #   in which an x that overflows is harmless;
+        # * for 0 < x <= k from shape _TEMME_SHAPE on, `_log_kummer_temme`;
+        # * below x = -(1.25 k + 40) scipy's 1F1 loses digits as k grows and can
+        #   read nan past x = -1e12; there, with y = -x, the exact
+        #     1F1(1; k+1; -y) = (k/y) sum_{n<k} (k-1)!/(k-1-n)! (-1/y)^n
+        #                       + (-1)^k k! y^(-k) e^(-y)
+        #   has terms falling by a factor 0.8 or more and a last term below
+        #   e^(-40) of the first, so its first 200 terms give the sum;
+        # * elsewhere scipy's hyp1f1.
+        k, beta = self.shape, self.rate
+        out = np.full(d.shape, -np.inf)
+        pos = d > 0
+        dp = d[pos]
+        with np.errstate(over="ignore"):
+            x = (beta - lam) * dp
+        high, low = x > k, x < -(1.25 * k + 40.0)
+        mid = ~(high | low)
+        log_1f1 = np.zeros_like(dp)
+        if k >= _TEMME_SHAPE:
+            temme = mid & (x > 0)
+            log_1f1[temme] = _log_kummer_temme(k, x[temme])
+            mid &= ~temme
+        log_1f1[mid] = np.log(hyp1f1(1, k + 1, x[mid]))
+        if lam > beta:
+            dl, y = dp[low], -x[low]
+            series = np.ones_like(y)
+            for n in range(min(k, 200) - 1, 0, -1):
+                series = 1.0 - (k - n) / y * series
+            # log(k/y) in three logs, since y may overflow
+            log_1f1[low] = (math.log(k) - math.log(lam - beta) - np.log(dl)
+                            + np.log(series))
+        log_f = _log_poisson(k, beta, dp) + log_1f1
+        if beta > lam:
+            log_f[high] = (-k * math.log1p(-lam / beta) - lam * dp[high]
+                           + np.log(gammainc(k, x[high])))
+        out[pos] = math.log(lam) + log_f
+        return out
+
+    def departure_entropy(self, lam) -> float:
+        """Entropy of D = W + S by composite Gauss-Legendre panels, whose
+        error estimate is the difference between 32- and 64-node
+        evaluations of every panel plus the truncated-tail envelope;
+        QuadratureError if it exceeds ENTROPY_ABS_TOL, or if the 64-node
+        panels integrate the density to a mass more than ENTROPY_ABS_TOL
+        from 1.
+        """
+        # [0, upper] with P[D > upper] <= _TAIL_MASS, by the union bound on
+        # the quantiles of W and S
+        split = 1.0 - 0.5 * _TAIL_MASS
+        upper = -math.log1p(-split) / lam + float(self.ppf(split))
+        # graded toward 0, where the Erlang sum density vanishes like d^k,
+        # plus the service quantiles at normal scores -7..7, since the
+        # density rises across the service law's bulk, ~sqrt(k)/rate wide
+        bulk = self.ppf(ndtr(np.linspace(-7.0, 7.0, 16)))
+        edges = np.unique(np.concatenate(
+            [[0.0], np.geomspace(upper * 1e-8, upper, 48), bulk[bulk < upper]]))
+
+        def panel_sums(order):
+            # the integrals of -f log f and of f over the panels
+            nodes, weights = _gl_rule(order)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * np.diff(edges)
+            x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+            lp = self.departure_log_pdf(lam, x).reshape(len(half), order)
+            return (float(np.sum(_neg_f_log_f(lp) @ weights * half)),
+                    float(np.sum(np.exp(lp) @ weights * half)))
+
+        (coarse, _), (fine, mass) = panel_sums(32), panel_sums(64)
+        tail_lp = float(self.departure_log_pdf(lam, np.asarray(upper)))
+        tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
+        err = abs(fine - coarse) + tail
+        if not err <= ENTROPY_ABS_TOL:
+            raise QuadratureError("convolution entropy did not converge", err)
+        # a density wrong on much of its support can still converge
+        if not abs(mass - 1.0) <= ENTROPY_ABS_TOL:
+            raise QuadratureError("convolution density does not integrate to 1",
+                                  abs(mass - 1.0))
+        return fine
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -334,6 +451,36 @@ class Uniform:
         q, scalar = _as_float_array(q)
         return _maybe_scalar(self.lo + q * (self.hi - self.lo), scalar)
 
+    def departure_log_pdf(self, lam, d):
+        # f_D(d) = [e^(-lam (d - m)) - e^(-lam (d - lo))] / (hi - lo) with
+        # m = min(d, hi), for d > lo
+        lo, hi = self.lo, self.hi
+        out = np.full(d.shape, -np.inf)
+        pos = d > lo
+        dp = d[pos]
+        m = np.minimum(dp, hi)
+        x = lam * (m - lo)
+        # where x underflows, log(1 - e^(-x)) = log lam + log(m - lo)
+        under = x < np.finfo(float).tiny
+        log_mass = np.log(-np.expm1(-np.where(under, 1.0, x)))
+        log_mass[under] = math.log(lam) + np.log(m[under] - lo)
+        out[pos] = log_mass - lam * (dp - m) - math.log(hi - lo)
+        return out
+
+    def departure_entropy(self, lam) -> float:
+        # With L = hi - lo, x = lam L and p = 1 - e^(-x), -f log f integrates to
+        # h = Li2(p)/x - log(p/x) - log lam, which tends to 1 - log lam + x/4.
+        # Euler's reflection Li2(p) + Li2(1 - p) = pi^2/6 - log p log(1 - p) turns
+        # it into h = log L + (pi^2/6 - Li2(e^(-x)))/x, finite once e^(-x) underflows.
+        width = self.hi - self.lo
+        x = lam * width
+        if x == 0.0:  # the service is negligible next to the idle time
+            return 1.0 - math.log(lam)
+        p = -math.expm1(-x)
+        if p <= 0.5:
+            return _dilog(p) / x - math.log(p / x) - math.log(lam)
+        return math.log(width) + (math.pi ** 2 / 6.0 - _dilog(math.exp(-x))) / x
+
 
 # ---------------------------------------------------------------------------
 # inter-departure models: D = W + S with W ~ Exp(lam)
@@ -365,46 +512,6 @@ def hypoexp_entropy(lam: float, mu: float) -> float:
         return 1.0 + np.euler_gamma - math.log(a)
     z = b / (b - a)
     return float(1.0 + np.euler_gamma - math.log(a) + (psi(z) - math.log(z)))
-
-
-# Exact log-densities of D = W + S, W ~ Exp(lam), for the service laws that
-# have one.  Each takes a float array d and returns an array of its shape.
-
-def _point_mass_sum_log_pdf(lam, service, d):
-    # a shifted exponential
-    x = d - service.value
-    return np.where(x > 0, math.log(lam) - lam * x, -np.inf)
-
-
-def _exponential_sum_log_pdf(lam, service, d):
-    a, b = _two_rates(lam, service.rate)
-    out = np.full(d.shape, -np.inf)
-    pos = d > 0
-    dp = d[pos]
-    if a == b:
-        out[pos] = 2.0 * math.log(a) + np.log(dp) - a * dp
-    else:
-        # log f = log(ab) - log(b-a) - a d + log(1 - exp(-(b-a) d)),
-        # stable for both tiny and large (b-a) d
-        out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
-                    - a * dp + np.log(-np.expm1(-(b - a) * dp)))
-    return out
-
-
-def _uniform_sum_log_pdf(lam, service, d):
-    # f_D(d) = [e^(-lam (d - m)) - e^(-lam (d - lo))] / (hi - lo) with
-    # m = min(d, hi), for d > lo
-    lo, hi = service.lo, service.hi
-    out = np.full(d.shape, -np.inf)
-    pos = d > lo
-    dp = d[pos]
-    m = np.minimum(dp, hi)
-    x = lam * (m - lo)
-    under = x < np.finfo(float).tiny  # there log(1 - e^(-x)) = log lam + log(m - lo)
-    log_mass = np.log(-np.expm1(-np.where(under, 1.0, x)))
-    log_mass[under] = math.log(lam) + np.log(m[under] - lo)
-    out[pos] = log_mass - lam * (dp - m) - math.log(hi - lo)
-    return out
 
 
 # From this shape on, `_log_kummer_temme` is within 1e-14 relative of
@@ -443,154 +550,30 @@ def _log_kummer_temme(k: int, x):
             + _stirling_remainder(k))
 
 
-def _erlang_sum_log_pdf(lam, service, d):
-    # By Kummer's transformation, with x = (beta - lam) d,
-    #   f_D(d) = lam (beta d)^k e^(-beta d) / k! * 1F1(1; k+1; x),
-    # the first factor being `_log_poisson`'s.  The branches differ in how
-    # they reach log 1F1(1; k+1; x):
-    # * past x = k, 1F1(1; k+1; x) = k! x^(-k) e^x P(k, x), P the regularized
-    #   lower incomplete gamma function, which lies in (1/2, 1] there; the
-    #   two Poisson factors cancel in closed form, to
-    #     f_D(d) = lam (beta / (beta - lam))^k e^(-lam d) P(k, x),
-    #   in which an x that overflows is harmless;
-    # * for 0 < x <= k from shape _TEMME_SHAPE on, `_log_kummer_temme`;
-    # * below x = -(1.25 k + 40) scipy's 1F1 loses digits as k grows and can
-    #   read nan past x = -1e12; there, with y = -x, the exact
-    #     1F1(1; k+1; -y) = (k/y) sum_{n<k} (k-1)!/(k-1-n)! (-1/y)^n
-    #                       + (-1)^k k! y^(-k) e^(-y)
-    #   has terms falling by a factor 0.8 or more and a last term below
-    #   e^(-40) of the first, so its first 200 terms give the sum;
-    # * elsewhere scipy's hyp1f1.
-    k, beta = service.shape, service.rate
-    out = np.full(d.shape, -np.inf)
-    pos = d > 0
-    dp = d[pos]
-    with np.errstate(over="ignore"):
-        x = (beta - lam) * dp
-    high, low = x > k, x < -(1.25 * k + 40.0)
-    mid = ~(high | low)
-    log_1f1 = np.zeros_like(dp)
-    if k >= _TEMME_SHAPE:
-        temme = mid & (x > 0)
-        log_1f1[temme] = _log_kummer_temme(k, x[temme])
-        mid &= ~temme
-    log_1f1[mid] = np.log(hyp1f1(1, k + 1, x[mid]))
-    if lam > beta:
-        dl, y = dp[low], -x[low]
-        series = np.ones_like(y)
-        for n in range(min(k, 200) - 1, 0, -1):
-            series = 1.0 - (k - n) / y * series
-        # log(k/y) in three logs, since y may overflow
-        log_1f1[low] = (math.log(k) - math.log(lam - beta) - np.log(dl)
-                        + np.log(series))
-    log_f = _log_poisson(k, beta, dp) + log_1f1
-    if beta > lam:
-        log_f[high] = (-k * math.log1p(-lam / beta) - lam * dp[high]
-                       + np.log(gammainc(k, x[high])))
-    out[pos] = math.log(lam) + log_f
-    return out
-
-
-_EXACT_SUM_LOG_PDF = {
-    Deterministic: _point_mass_sum_log_pdf,
-    Exponential: _exponential_sum_log_pdf,
-    Uniform: _uniform_sum_log_pdf,
-    Erlang: _erlang_sum_log_pdf,
-}
-
-
 def _dilog(z: float) -> float:
     # Li2(z) = sum_{k>=1} z^k / k^2; 63 terms reach 1e-20 at z = 1/2
     return math.fsum(z ** k / (k * k) for k in range(1, 64))
 
 
-def _uniform_sum_entropy(lam, service):
-    # With L = hi - lo, x = lam L and p = 1 - e^(-x), -f log f integrates to
-    # h = Li2(p)/x - log(p/x) - log lam, which tends to 1 - log lam + x/4.
-    # Euler's reflection Li2(p) + Li2(1 - p) = pi^2/6 - log p log(1 - p) turns
-    # it into h = log L + (pi^2/6 - Li2(e^(-x)))/x, finite once e^(-x) underflows.
-    width = service.hi - service.lo
-    x = lam * width
-    if x == 0.0:  # the service is negligible next to the idle time
-        return 1.0 - math.log(lam)
-    p = -math.expm1(-x)
-    if p <= 0.5:
-        return _dilog(p) / x - math.log(p / x) - math.log(lam)
-    return math.log(width) + (math.pi ** 2 / 6.0 - _dilog(math.exp(-x))) / x
-
-
-# Exact entropies of D = W + S (a point mass only shifts the idle time)
-_EXACT_SUM_ENTROPY = {
-    Deterministic: lambda lam, service: 1.0 - math.log(lam),
-    Exponential: lambda lam, service: hypoexp_entropy(lam, service.rate),
-    Uniform: _uniform_sum_entropy,
-}
-
-
 class NumericalConvolution:
-    """Density of D = W + S for W ~ Exp(lam) independent of service S.
+    """D = W + S for W ~ Exp(lam) independent of service S.
 
-    The density is exact for the exponential, point-mass, uniform and
-    Erlang services, and any other law raises ValueError.  The entropy is
-    exact for exponential, uniform and point-mass service, and a certified
-    composite quadrature of the density for Erlang service.
+    The service law owns the density and entropy of D, as its
+    `departure_log_pdf` and `departure_entropy`; a law without a
+    `departure_log_pdf` raises ValueError.  This class holds lam to the
+    rate rule and gives the density scalar in, scalar out.
     """
 
     def __init__(self, lam: float, service):
         self.lam = _require_rate(lam, "lam")
-        if type(service) not in _EXACT_SUM_LOG_PDF:
+        if not hasattr(service, "departure_log_pdf"):
             raise ValueError(
                 f"no exact W + S density for service {type(service).__name__}")
         self.service = service
 
     def log_pdf(self, d):
         d, scalar = _as_float_array(d)
-        exact = _EXACT_SUM_LOG_PDF[type(self.service)]
-        return _maybe_scalar(exact(self.lam, self.service, d), scalar)
-
-    def quantile_bound(self, q: float) -> float:
-        """An upper bound for the q-quantile of D (union bound on W and S)."""
-        split = 1.0 - 0.5 * (1.0 - q)
-        w_tail = -math.log1p(-split) / self.lam
-        return w_tail + float(self.service.ppf(split))
+        return _maybe_scalar(self.service.departure_log_pdf(self.lam, d), scalar)
 
     def entropy(self) -> float:
-        """Differential entropy of D: exact where a closed form exists,
-        else by composite Gauss-Legendre panels, whose error estimate is
-        the difference between 32- and 64-node evaluations of every panel
-        plus the truncated-tail envelope; QuadratureError if it exceeds
-        ENTROPY_ABS_TOL, or if the 64-node panels integrate the density to a
-        mass more than ENTROPY_ABS_TOL from 1.
-        """
-        exact = _EXACT_SUM_ENTROPY.get(type(self.service))
-        if exact is not None:
-            return exact(self.lam, self.service)
-        upper = self.quantile_bound(1.0 - _TAIL_MASS)
-        # graded toward 0, where the Erlang sum density vanishes like d^k,
-        # plus the service quantiles at normal scores -7..7, since the
-        # density rises across the service law's bulk, ~sqrt(k)/rate wide
-        bulk = self.service.ppf(ndtr(np.linspace(-7.0, 7.0, 16)))
-        edges = np.unique(np.concatenate(
-            [[0.0], np.geomspace(upper * 1e-8, upper, 48), bulk[bulk < upper]]))
-
-        def panel_sums(order):
-            # the integrals of -f log f and of f over the panels
-            nodes, weights = _gl_rule(order)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            lp = self.log_pdf(x).reshape(len(half), order)
-            return (float(np.sum(_neg_f_log_f(lp) @ weights * half)),
-                    float(np.sum(np.exp(lp) @ weights * half)))
-
-        (coarse, _), (fine, mass) = panel_sums(32), panel_sums(64)
-        tail_lp = float(self.log_pdf(upper))
-        tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
-        err = abs(fine - coarse) + tail
-        if not err <= ENTROPY_ABS_TOL:
-            raise QuadratureError("convolution entropy did not converge", err)
-        # a density wrong on much of its support can still converge
-        if not abs(mass - 1.0) <= ENTROPY_ABS_TOL:
-            raise QuadratureError("convolution density does not integrate to 1",
-                                  abs(mass - 1.0))
-        return fine
+        return self.service.departure_entropy(self.lam)

@@ -8,8 +8,9 @@ route.  `gl_sum_log_pdf` evaluates the density of D = W + S by a
 Gauss-Legendre convolution, the oracle for the exact per-law densities of
 `NumericalConvolution`, over the interval that `support` gives for each
 shipped law.  `two_rate_sf` and `two_rate_quantile` give the survival
-function and quantiles of the two-rate sum law, for the integration limits
-of the entropy oracles.  `mp_erlang_sum_log_pdf` and
+function and quantiles of the two-rate sum law, and `quantile_bound` an
+upper bound for a quantile of D under any service, for the integration
+limits of the entropy oracles.  `mp_erlang_sum_log_pdf` and
 `mp_erlang_sum_entropy` evaluate the Erlang-service density of D through
 mpmath's 1F1 at 40 digits, and its entropy by mpmath quadrature.
 `mp_log_kummer` reaches log 1F1(1; k+1; x) at any shape through its
@@ -159,6 +160,13 @@ def two_rate_quantile(lam: float, mu: float, q: float) -> float:
         hi *= 2.0
     return optimize.brentq(lambda d: two_rate_sf(lam, mu, d) - (1.0 - q), 0.0, hi,
                            xtol=1e-12, rtol=8.9e-16)
+
+
+def quantile_bound(lam: float, service, q: float) -> float:
+    """An upper bound for the q-quantile of D = W + S, W ~ Exp(lam): the
+    union bound on the quantiles of W and S at 1 - (1 - q)/2."""
+    split = 1.0 - 0.5 * (1.0 - q)
+    return -math.log1p(-split) / lam + float(service.ppf(split))
 
 
 def _mp_erlang_sum_log_pdf(lam, k: int, beta):

@@ -11,6 +11,7 @@ from timingq import (
     Deterministic,
     Erlang,
     Exponential,
+    NumericalConvolution,
     Uniform,
     c_upper,
     cas_bound,
@@ -22,6 +23,7 @@ from timingq import (
     universal_bound,
     universal_bound_at,
 )
+from timingq.distributions import ENTROPY_ABS_TOL
 
 
 # ------------------------------------------------------------------ rate
@@ -148,6 +150,23 @@ def test_cas_bound_point_mass_service_dominates():
 def test_cas_bound_erlang_service_above_rate():
     lam = 0.456
     assert cas_bound(lam, Erlang(2, 2.0)) >= rate_R(lam, 1.0)
+
+
+service_laws = st.one_of(
+    st.builds(Exponential, st.floats(0.05, 20.0)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width),
+              st.floats(0.0, 5.0), st.floats(1e-3, 10.0)),
+    st.builds(Erlang, st.integers(1, 64), st.floats(0.05, 20.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(law=service_laws, load=st.floats(1e-3, 1e3))
+def test_cas_bound_lies_between_zero_and_the_universal_bound(law, load):
+    # the Poisson-input rate is the rate of one feasible input, so the
+    # converse bounds it; h(W + S) >= h(S) since W is independent of S
+    lam = load / law.mean()
+    assert 0.0 <= cas_bound(lam, law) <= universal_bound_at(lam, law)
+    assert NumericalConvolution(lam, law).entropy() >= law.entropy() - ENTROPY_ABS_TOL
 
 
 def test_cas_bound_small_arrival_rate_to_zero():

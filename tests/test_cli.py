@@ -647,7 +647,16 @@ def test_infodensity_blames_lam_for_a_default_target_of_zero():
     # so its default gamma is 0; --target was not given and is not named
     rc, _, err = _run(["infodensity", "--lam", "1e20", "--mu", "1", "--n", "10",
                        "--trials", "2"], budget=cli.MEMORY_BUDGET)
-    assert rc == 1 and err.startswith("error: --lam: ")
+    assert rc == 1 and err.startswith("error: --lam, --service/--mu: ")
+    assert "default target 0.0" in err and "--target" not in err
+
+
+def test_infodensity_blames_the_load_for_a_default_target_of_zero():
+    # here the load lam E[S] is ~1.8e308 through the mean service time, not
+    # through lam, so the refusal names the load and the flags behind it
+    rc, _, err = _run(["infodensity", "--lam", "1", "--service", "erlang:2:1.12e-308",
+                       "--n", "10", "--trials", "2"], budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith("error: --lam, --service/--mu: load lam E[S] = ")
     assert "default target 0.0" in err and "--target" not in err
 
 

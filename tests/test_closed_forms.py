@@ -25,6 +25,7 @@ from oracles import (
     mp_erlang_sum_entropy,
     mp_erlang_sum_log_pdf,
     mp_log_kummer,
+    quantile_bound,
     support,
     two_rate_quantile,
 )
@@ -272,7 +273,7 @@ def test_uniform_sum_density_survives_underflow_of_lam_width():
 
 def _uniform_quadrature_entropy(conv):
     service = conv.service
-    upper = conv.quantile_bound(1.0 - TAIL_MASS)
+    upper = quantile_bound(conv.lam, service, 1.0 - TAIL_MASS)
     tail = TAIL_MASS * (abs(float(conv.log_pdf(upper))) + 2.0)
     ref, _ = _entropy_quad(conv.log_pdf, upper,
                            points=(service.lo, service.hi), tail_estimate=tail)

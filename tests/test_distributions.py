@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from oracles import gl_sum_log_pdf, two_rate_quantile, two_rate_sf
+from oracles import gl_sum_log_pdf, quantile_bound, two_rate_quantile, two_rate_sf
 from timingq import (
     Codebook,
     Deterministic,
@@ -227,6 +227,16 @@ def test_convolution_takes_only_exact_laws():
         NumericalConvolution(1.0, NumericalConvolution(1.0, Exponential(2.0)))
 
 
+@pytest.mark.parametrize("law", [Deterministic(0.7), Exponential(1.3),
+                                 Uniform(0.2, 1.8), Erlang(3, 2.0)], ids=repr)
+def test_convolution_hands_the_departure_law_to_the_service(law):
+    # the law owns D = W + S; the convolution only checks lam and converts d
+    lam, d = 0.8, np.linspace(0.0, 12.0, 97)
+    conv = NumericalConvolution(lam, law)
+    assert np.array_equal(conv.log_pdf(d), law.departure_log_pdf(lam, d))
+    assert conv.entropy() == law.departure_entropy(lam)
+
+
 def test_convolution_density_zero_at_origin():
     conv = NumericalConvolution(0.7, Erlang(2, 2.0))
     assert conv.log_pdf(0.0) == -math.inf
@@ -255,7 +265,8 @@ def test_erlang_sum_density_far_past_the_service_rate():
 def test_entropy_refuses_to_certify_a_nan_density(monkeypatch):
     # a nan log-density is not zero mass: the panels cannot certify it
     conv = NumericalConvolution(0.5, Erlang(2, 2.0))
-    monkeypatch.setattr(conv, "log_pdf", lambda d: np.full(np.shape(d), math.nan))
+    monkeypatch.setattr(Erlang, "departure_log_pdf",
+                        lambda self, lam, d: np.full(np.shape(d), math.nan))
     with pytest.raises(QuadratureError):
         conv.entropy()
 
@@ -263,7 +274,8 @@ def test_entropy_refuses_to_certify_a_nan_density(monkeypatch):
 def test_entropy_refuses_to_certify_a_density_without_mass(monkeypatch):
     # a log-density of -inf everywhere converges, to 0, on every panel
     conv = NumericalConvolution(0.5, Erlang(2, 2.0))
-    monkeypatch.setattr(conv, "log_pdf", lambda d: np.full(np.shape(d), -math.inf))
+    monkeypatch.setattr(Erlang, "departure_log_pdf",
+                        lambda self, lam, d: np.full(np.shape(d), -math.inf))
     with pytest.raises(QuadratureError, match="integrate to 1"):
         conv.entropy()
 
@@ -289,7 +301,7 @@ def test_densities_integrate_to_one():
         NumericalConvolution(0.8, Erlang(3, 2.0)),
     ]
     for m in models:
-        hi = m.quantile_bound(1.0 - 1e-13)
+        hi = quantile_bound(m.lam, m.service, 1.0 - 1e-13)
         total, _ = integrate.quad(lambda x: math.exp(m.log_pdf(x)), 0.0, hi, limit=200)
         assert abs(total - 1.0) < 1e-6
 
