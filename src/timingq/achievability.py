@@ -43,6 +43,9 @@ __all__ = [
 
 DEFAULT_TRIAL_SEED = 20_177
 
+# points per density evaluation in `info_density_trial`
+_DENSITY_BLOCK = 2**16
+
 
 class TrialFailure(RuntimeError):
     """A sampled point landed where a density vanishes (measure zero)."""
@@ -62,8 +65,13 @@ def info_density_trial(lam: float, service, n: int, rng: np.random.Generator) ->
     idles = rng.exponential(1.0 / lam, size=n)
     services = np.asarray(service.sample(rng, size=n), dtype=float)
 
-    log_fs = np.asarray(service.log_pdf(services), dtype=float)
-    log_fd = np.asarray(dep.log_pdf(idles + services), dtype=float)
+    # elementwise densities in fixed blocks: their temporaries stay one
+    # block long whatever the law, and each output value is unchanged
+    log_fs, log_fd = np.empty(n), np.empty(n)
+    for block in range(0, n, _DENSITY_BLOCK):
+        part = slice(block, block + _DENSITY_BLOCK)
+        log_fs[part] = service.log_pdf(services[part])
+        log_fd[part] = dep.log_pdf(idles[part] + services[part])
     if np.any(np.isneginf(log_fs)) or not np.all(np.isfinite(log_fd)):
         raise TrialFailure("zero density at a sampled point")
 

@@ -6,12 +6,12 @@ service law (exponential, point mass, uniform, Erlang) also owns the law
 of D = W + S, an exponential idle period of rate lam plus one service:
 `departure_log_pdf(lam, d)` is its exact log-density, taking a float array
 d and returning an array of its shape, and `departure_entropy(lam)` its
-entropy.  That entropy is exact for exponential service (the two-rate sum
-law, `hypoexp_entropy`), uniform service and a point mass; for Erlang
-service it is a composite quadrature with certified error, the one place
-in this module that can raise QuadratureError.  `NumericalConvolution`
-holds lam to the rate rule and hands D to the service law, refusing a law
-without `departure_log_pdf`.
+entropy; both hold lam to the rate rule.  That entropy is exact for
+exponential service (the two-rate sum law, `hypoexp_entropy`), uniform
+service and a point mass; for Erlang service it is a composite quadrature
+with certified error, the one place in this module that can raise
+QuadratureError.  `NumericalConvolution` holds lam to the rate rule and
+hands D to the service law, refusing a law without `departure_log_pdf`.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -222,7 +222,7 @@ class Exponential:
         return _maybe_scalar(-np.log1p(-q) / self.rate, scalar)
 
     def departure_log_pdf(self, lam, d):
-        a, b = _two_rates(lam, self.rate)
+        a, b = _two_rates(_require_rate(lam, "lam"), self.rate)
         out = np.full(d.shape, -np.inf)
         pos = d > 0
         dp = d[pos]
@@ -271,12 +271,13 @@ class Deterministic:
 
     def departure_log_pdf(self, lam, d):
         # a shifted exponential
+        lam = _require_rate(lam, "lam")
         x = d - self.value
         return np.where(x > 0, math.log(lam) - lam * x, -np.inf)
 
     def departure_entropy(self, lam) -> float:
         # a point mass only shifts the idle time
-        return 1.0 - math.log(lam)
+        return 1.0 - math.log(_require_rate(lam, "lam"))
 
 
 @dataclass(frozen=True)
@@ -346,6 +347,7 @@ class Erlang:
         #   has terms falling by a factor 0.8 or more and a last term below
         #   e^(-40) of the first, so its first 200 terms give the sum;
         # * elsewhere scipy's hyp1f1.
+        lam = _require_rate(lam, "lam")
         k, beta = self.shape, self.rate
         out = np.full(d.shape, -np.inf)
         pos = d > 0
@@ -383,6 +385,7 @@ class Erlang:
         panels integrate the density to a mass more than ENTROPY_ABS_TOL
         from 1.
         """
+        lam = _require_rate(lam, "lam")
         # [0, upper] with P[D > upper] <= _TAIL_MASS, by the union bound on
         # the quantiles of W and S
         split = 1.0 - 0.5 * _TAIL_MASS
@@ -454,6 +457,7 @@ class Uniform:
     def departure_log_pdf(self, lam, d):
         # f_D(d) = [e^(-lam (d - m)) - e^(-lam (d - lo))] / (hi - lo) with
         # m = min(d, hi), for d > lo
+        lam = _require_rate(lam, "lam")
         lo, hi = self.lo, self.hi
         out = np.full(d.shape, -np.inf)
         pos = d > lo
@@ -472,6 +476,7 @@ class Uniform:
         # h = Li2(p)/x - log(p/x) - log lam, which tends to 1 - log lam + x/4.
         # Euler's reflection Li2(p) + Li2(1 - p) = pi^2/6 - log p log(1 - p) turns
         # it into h = log L + (pi^2/6 - Li2(e^(-x)))/x, finite once e^(-x) underflows.
+        lam = _require_rate(lam, "lam")
         width = self.hi - self.lo
         x = lam * width
         if x == 0.0:  # the service is negligible next to the idle time

@@ -218,9 +218,16 @@ def test_cli_stdout_survives_teardown(tmp_path):
 
 
 def test_package_exports_match_module_exports():
-    for name in timingq.__all__:
-        module = importlib.import_module(getattr(timingq, name).__module__)
-        assert name in module.__all__, (name, module.__name__)
+    # the package re-exports each module's own __all__; a name listed by two
+    # modules would be shadowed by the later star import
+    modules = [importlib.import_module(f"timingq.{name}") for name in
+               ("achievability", "bounds", "coding", "distributions", "queue_sim")]
+    assert len(set(timingq.__all__)) == len(timingq.__all__)
+    assert set(timingq.__all__) == {name for m in modules for name in m.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(timingq, name) is getattr(module, name), (
+                name, module.__name__)
 
 
 def test_optimum_json(tmp_path):
@@ -550,6 +557,11 @@ def test_decode_budget_takes_the_largest_cell(tmp_path):
     ["simulate", "--lam", "0.456", "--mu", "1", "--n", "8000"],
     ["simulate", "--lam", "2", "--service", "uniform:0:2", "--n", "4000"],
     ["infodensity", "--lam", "0.456", "--service", "erlang:2:2", "--n", "30000",
+     "--trials", "2"],
+    # the Erlang departure density's temporaries grow with the shape and load
+    ["infodensity", "--lam", "0.5", "--service", "erlang:1000:1000", "--n", "200000",
+     "--trials", "2"],
+    ["infodensity", "--lam", "3", "--service", "erlang:1000:1000", "--n", "200000",
      "--trials", "2"],
     ["decode", "--M", "256", "--n", "200", "--lam", "0.456", "--mu", "1",
      "--trials", "3"],

@@ -237,6 +237,19 @@ def test_convolution_hands_the_departure_law_to_the_service(law):
     assert conv.entropy() == law.departure_entropy(lam)
 
 
+@pytest.mark.parametrize("law", [Deterministic(0.7), Exponential(1.3),
+                                 Uniform(0.2, 1.8), Erlang(2, 2.0)], ids=repr)
+@pytest.mark.parametrize("lam", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("method", [
+    lambda law, lam: law.departure_log_pdf(lam, np.linspace(0.0, 5.0, 7)),
+    lambda law, lam: law.departure_entropy(lam),
+], ids=["departure_log_pdf", "departure_entropy"])
+def test_departure_methods_hold_lam_to_the_rate_rule(law, lam, method):
+    # called directly, not through NumericalConvolution
+    with pytest.raises(ValueError, match="^lam"):
+        method(law, lam)
+
+
 def test_convolution_density_zero_at_origin():
     conv = NumericalConvolution(0.7, Erlang(2, 2.0))
     assert conv.log_pdf(0.0) == -math.inf
