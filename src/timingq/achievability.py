@@ -257,6 +257,7 @@ def decode_rate_experiment(M_schedule, lam: float, mu: float, n_schedule,
     service = Exponential(_require_rate(mu, "mu"))
     rows = []
     for cell, (M, n) in enumerate(_broadcast_schedules(M_schedule, n_schedule)):
+        t_n = expected_decode_time(lam, service, n)  # refuses a horizon that overflows
 
         def one(t: int, M=M, n=n, cell=cell) -> bool:
             rng = np.random.default_rng(
@@ -274,7 +275,6 @@ def decode_rate_experiment(M_schedule, lam: float, mu: float, n_schedule,
 
         outcomes = _run_trials(one, trials, threads)
         errors = int(sum(bool(x) for x in outcomes))
-        t_n = expected_decode_time(lam, service, n)
         rows.append({
             "M": M,
             "n": n,

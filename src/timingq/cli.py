@@ -264,11 +264,14 @@ def _cmd_simulate(args) -> str:
             raise ValidationError("--lam, --n: required without --fixture")
         service = _service_from_args(args)
         # per departure: its CSV row, and the arrivals it admits or drops
-        _require_budget("--n, --lam, --service/--mu", args.n,
-                        512 + 48 * (args.lam * service.mean() + 1.0))
-        trace = queue_sim.simulate(queue_sim.SimConfig(
-            arrival=Exponential(args.lam), service=service,
-            n=args.n, seed=args.seed))
+        flags = "--n, --lam, --service/--mu"
+        _require_budget(flags, args.n, 512 + 48 * (args.lam * service.mean() + 1.0))
+        try:
+            trace = queue_sim.simulate(queue_sim.SimConfig(
+                arrival=Exponential(args.lam), service=service,
+                n=args.n, seed=args.seed))
+        except OverflowError as exc:
+            raise ValidationError(f"{flags}: {exc}") from None
     return queue_sim.trace_csv(trace, _config_dict(args))
 
 
@@ -286,7 +289,8 @@ def _cmd_infodensity(args) -> str:
     except ValueError as exc:
         raise _refused(exc, {"n_schedule": "--n", "target": "--target",
                              "gamma": "--gamma", "lam": "--lam",
-                             "load": "--lam, --service/--mu"},
+                             "load": "--lam, --service/--mu",
+                             "horizon": "--n, --lam, --service/--mu"},
                        "--service/--mu") from None
     if args.format == "json":
         payload = {"config": _config_dict(args),
@@ -306,9 +310,12 @@ def _cmd_decode(args) -> str:
         _require_budget("--M, --n, --lam, --mu", M,
                         48 * (min(n, 2**64) * (args.lam / args.mu + 1.0) + 64))
     _require_budget("--trials", args.trials, 16)
-    rows = achievability.decode_rate_experiment(
-        Ms, args.lam, args.mu, ns, args.trials,
-        seed=args.seed, threads=args.threads)
+    try:  # a horizon, or a departure epoch, past the float range
+        rows = achievability.decode_rate_experiment(
+            Ms, args.lam, args.mu, ns, args.trials,
+            seed=args.seed, threads=args.threads)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"--n, --lam, --mu: {exc}") from None
     payload = {"config": _config_dict(args), "rows": rows}
     return _output.json_text(payload)
 

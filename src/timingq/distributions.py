@@ -8,10 +8,14 @@ of D = W + S, an exponential idle period of rate lam plus one service:
 d and returning an array of its shape, and `departure_entropy(lam)` its
 entropy; both hold lam to the rate rule.  That entropy is exact for
 exponential service (the two-rate sum law, `hypoexp_entropy`), uniform
-service and a point mass; for Erlang service it is a composite quadrature
-with certified error, the one place in this module that can raise
-QuadratureError.  `NumericalConvolution` holds lam to the rate rule and
-hands D to the service law, refusing a law without `departure_log_pdf`.
+service and a point mass.  For Erlang service it comes from the
+closed-form bracket max(h(W), h(S)) <= h(D) <= 1 + log(1/lam + E[S]) where
+that is narrow, and elsewhere from 16- and 32-node Gauss-Legendre panels on
+D in units of its mean cycle, certified against both the rule difference
+and the bracket at every scale the rate rule admits: the one place in this
+module that can raise QuadratureError.  `NumericalConvolution` holds lam
+to the rate rule and hands D to the service law, refusing a law without
+`departure_log_pdf`.
 
 All entropies and log-densities are in nats.  Durations are abstract time
 units; every distribution here lives on the nonnegative half-line.
@@ -108,10 +112,18 @@ def _require_finite_mean(law) -> None:
         raise ValueError(f"the mean of {law!r} or its reciprocal overflows") from None
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(order: int):
-    nodes, weights = leggauss(order)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _panel_rule():
+    """What the departure-entropy panels share at every load: the nodes of
+    the 16- and 32-node Gauss-Legendre rules side by side, a (48, 2) weight
+    matrix whose columns apply each rule to its own nodes, 48 geometric
+    steps from 1e-8 to 1 for the edges graded toward 0, and the quantile
+    levels at normal scores -7..7 followed by the tail split 1 - _TAIL_MASS/2."""
+    (coarse, coarse_w), (fine, fine_w) = leggauss(16), leggauss(32)
+    weights = np.zeros((48, 2))
+    weights[:16, 0], weights[16:, 1] = coarse_w, fine_w
+    levels = np.append(ndtr(np.linspace(-7.0, 7.0, 16)), 1.0 - 0.5 * _TAIL_MASS)
+    return np.concatenate((coarse, fine)), weights, np.geomspace(1e-8, 1.0, 48), levels
 
 
 def _neg_f_log_f(lp):
@@ -210,7 +222,8 @@ class Exponential:
 
     def log_pdf(self, x):
         x, scalar = _as_float_array(x)
-        out = np.where(x >= 0, math.log(self.rate) - self.rate * x, -np.inf)
+        with np.errstate(over="ignore"):  # a rate * x past the float range: -inf
+            out = np.where(x >= 0, math.log(self.rate) - self.rate * x, -np.inf)
         return _maybe_scalar(out, scalar)
 
     def entropy(self) -> float:
@@ -219,7 +232,8 @@ class Exponential:
 
     def ppf(self, q):
         q, scalar = _as_float_array(q)
-        return _maybe_scalar(-np.log1p(-q) / self.rate, scalar)
+        with np.errstate(over="ignore"):  # a quantile past the float range: inf
+            return _maybe_scalar(-np.log1p(-q) / self.rate, scalar)
 
     def departure_log_pdf(self, lam, d):
         a, b = _two_rates(_require_rate(lam, "lam"), self.rate)
@@ -230,9 +244,11 @@ class Exponential:
             out[pos] = 2.0 * math.log(a) + np.log(dp) - a * dp
         else:
             # log f = log(ab) - log(b-a) - a d + log(1 - exp(-(b-a) d)),
-            # stable for both tiny and large (b-a) d
-            out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
-                        - a * dp + np.log(-np.expm1(-(b - a) * dp)))
+            # stable for both tiny and large (b-a) d; a (b-a) d past the
+            # float range leaves the last factor at 1
+            with np.errstate(over="ignore"):
+                out[pos] = (math.log(a) + math.log(b) - math.log(b - a)
+                            - a * dp + np.log(-np.expm1(-(b - a) * dp)))
         return out
 
     def departure_entropy(self, lam) -> float:
@@ -378,37 +394,52 @@ class Erlang:
         return out
 
     def departure_entropy(self, lam) -> float:
-        """Entropy of D = W + S by composite Gauss-Legendre panels, whose
-        error estimate is the difference between 32- and 64-node
-        evaluations of every panel plus the truncated-tail envelope;
-        QuadratureError if it exceeds ENTROPY_ABS_TOL, or if the 64-node
-        panels integrate the density to a mass more than ENTROPY_ABS_TOL
-        from 1.
+        """Entropy of D = W + S, certified to ENTROPY_ABS_TOL at every scale.
+
+        With c = 1/lam + E[S] the mean cycle, h(D) lies in the closed-form
+        bracket max(h(W), h(S)) <= h(D) <= 1 + log c, the upper end being
+        the exponential law of mean c.  Where the bracket is narrower than
+        ENTROPY_ABS_TOL, its midpoint is the answer.  Elsewhere composite
+        Gauss-Legendre panels integrate the law of D/c, whose rates
+        lam c = 1 + lam E[S] and beta c = beta/lam + k do not depend on the
+        time unit, and h(D) = h(D/c) + log c.  The 16- and 32-node rules
+        share one density call with the tail point; the error estimate is
+        their difference on every panel plus the truncated-tail envelope,
+        and the 32-node sum is the value.  QuadratureError if the estimate
+        exceeds ENTROPY_ABS_TOL, if the 32-node panels integrate the density
+        to a mass more than ENTROPY_ABS_TOL from 1, or if the value leaves
+        the bracket by more than ENTROPY_ABS_TOL.
         """
         lam = _require_rate(lam, "lam")
-        # [0, upper] with P[D > upper] <= _TAIL_MASS, by the union bound on
-        # the quantiles of W and S
-        split = 1.0 - 0.5 * _TAIL_MASS
-        upper = -math.log1p(-split) / lam + float(self.ppf(split))
+        idle, mean = 1.0 / lam, self.mean()
+        # log c as the log of the larger term, since c itself may overflow
+        log_cycle = math.log(max(idle, mean)) + math.log1p(min(idle, mean) / max(idle, mean))
+        lower, upper = max(1.0 - math.log(lam), self.entropy()), 1.0 + log_cycle
+        if upper - lower <= ENTROPY_ABS_TOL:
+            return 0.5 * (lower + upper)
+        # the bracket is at most log1p(lam E[S]) wide, so here beta/lam is
+        # below k/ENTROPY_ABS_TOL; a lam c past the float range only shortens
+        # an idle time far below the first panel
+        scaled = Erlang(self.shape, self.rate * idle + self.shape)
+        lam_c = min(1.0 + lam * mean, np.finfo(float).max)
+        nodes, weights, grading, levels = _panel_rule()
+        quantiles = scaled.ppf(levels)
+        # [0, top] with P[D/c > top] <= _TAIL_MASS, by the union bound on
+        # the quantiles of W/c and S/c
+        top = float(-math.log1p(-levels[-1]) / lam_c + quantiles[-1])
         # graded toward 0, where the Erlang sum density vanishes like d^k,
         # plus the service quantiles at normal scores -7..7, since the
         # density rises across the service law's bulk, ~sqrt(k)/rate wide
-        bulk = self.ppf(ndtr(np.linspace(-7.0, 7.0, 16)))
-        edges = np.unique(np.concatenate(
-            [[0.0], np.geomspace(upper * 1e-8, upper, 48), bulk[bulk < upper]]))
-
-        def panel_sums(order):
-            # the integrals of -f log f and of f over the panels
-            nodes, weights = _gl_rule(order)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            lp = self.departure_log_pdf(lam, x).reshape(len(half), order)
-            return (float(np.sum(_neg_f_log_f(lp) @ weights * half)),
-                    float(np.sum(np.exp(lp) @ weights * half)))
-
-        (coarse, _), (fine, mass) = panel_sums(32), panel_sums(64)
-        tail_lp = float(self.departure_log_pdf(lam, np.asarray(upper)))
+        bulk = quantiles[:-1]
+        edges = np.unique(np.concatenate([[0.0], top * grading, bulk[bulk < top]]))
+        half = 0.5 * np.diff(edges)
+        mid = edges[:-1] + half
+        lp = scaled.departure_log_pdf(lam_c, np.append(
+            (mid[:, None] + half[:, None] * nodes).ravel(), top))
+        tail_lp, lp = float(lp[-1]), lp[:-1].reshape(len(half), len(nodes))
+        # the integrals of -f log f by both rules, and of f by the finer one
+        coarse, fine = half @ (_neg_f_log_f(lp) @ weights)
+        mass = float(half @ (np.exp(lp) @ weights[:, 1]))
         tail = _TAIL_MASS * (abs(tail_lp) + 2.0) if math.isfinite(tail_lp) else 0.0
         err = abs(fine - coarse) + tail
         if not err <= ENTROPY_ABS_TOL:
@@ -417,7 +448,12 @@ class Erlang:
         if not abs(mass - 1.0) <= ENTROPY_ABS_TOL:
             raise QuadratureError("convolution density does not integrate to 1",
                                   abs(mass - 1.0))
-        return fine
+        h = float(fine) + log_cycle
+        outside = max(lower - h, h - upper)
+        if not outside <= ENTROPY_ABS_TOL:
+            raise QuadratureError("convolution entropy left its closed-form bracket",
+                                  outside)
+        return min(max(h, lower), upper)
 
 
 @dataclass(frozen=True)
@@ -463,12 +499,13 @@ class Uniform:
         pos = d > lo
         dp = d[pos]
         m = np.minimum(dp, hi)
-        x = lam * (m - lo)
-        # where x underflows, log(1 - e^(-x)) = log lam + log(m - lo)
-        under = x < np.finfo(float).tiny
-        log_mass = np.log(-np.expm1(-np.where(under, 1.0, x)))
-        log_mass[under] = math.log(lam) + np.log(m[under] - lo)
-        out[pos] = log_mass - lam * (dp - m) - math.log(hi - lo)
+        with np.errstate(over="ignore"):  # an x past the float range: 1 - e^(-x) = 1
+            x = lam * (m - lo)
+            # where x underflows, log(1 - e^(-x)) = log lam + log(m - lo)
+            under = x < np.finfo(float).tiny
+            log_mass = np.log(-np.expm1(-np.where(under, 1.0, x)))
+            log_mass[under] = math.log(lam) + np.log(m[under] - lo)
+            out[pos] = log_mass - lam * (dp - m) - math.log(hi - lo)
         return out
 
     def departure_entropy(self, lam) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ def _extend_epochs(last, gaps) -> np.ndarray:
     cumulative sum over every gap, however the gaps were chunked.  That is
     what lets the decoder reproduce simulator-side idle times bit for bit."""
     last = np.asarray(last, dtype=float)[..., None]
-    return np.add.accumulate(np.concatenate((last, gaps), axis=-1), axis=-1)[..., 1:]
+    with np.errstate(over="ignore"):  # epochs past the float range read inf
+        return np.add.accumulate(np.concatenate((last, gaps), axis=-1), axis=-1)[..., 1:]
 
 
 def _first_after(epochs, departures) -> np.ndarray:
@@ -184,13 +186,18 @@ def _service_draws(service, count, rng):
     return s[:count]
 
 
+def _overflowed(i: int, n: int) -> OverflowError:
+    return OverflowError(f"departure epoch {i} of {n} overflows a float")
+
+
 def simulate(config: SimConfig) -> QueueTrace:
     """Run the queue for n departures past the zeroth and return the trace.
 
     Model-driven arrivals and services draw from independent child streams
     of the seed, so lazy arrival extension never disturbs service draws.
     Raises ArrivalsExhausted when a finite explicit arrival sequence cannot
-    supply the next admission.
+    supply the next admission, and OverflowError when a departure epoch
+    passes the float range.
     """
     arrival_child, service_child = np.random.SeedSequence(config.seed).spawn(2)
     chunks = _gap_chunks(config.arrival, np.random.default_rng(arrival_child))
@@ -207,6 +214,8 @@ def simulate(config: SimConfig) -> QueueTrace:
     t = gaps[0] = float(services[0])
     for i, s in enumerate(map(float, services[1:]), 1):
         while epochs[-1] <= t:
+            if t == math.inf:
+                raise _overflowed(i - 1, config.n)
             new = next(chunks, None)
             if new is None:
                 raise ArrivalsExhausted(
@@ -219,6 +228,8 @@ def simulate(config: SimConfig) -> QueueTrace:
         w = idles[i - 1] = epochs[m] - t
         g = gaps[i] = w + s
         t += g
+    if t == math.inf:
+        raise _overflowed(config.n, config.n)
 
     del epochs[m + 1:]
     trace = QueueTrace(
@@ -237,9 +248,17 @@ def simulate(config: SimConfig) -> QueueTrace:
 def expected_decode_time(lam: float, service, n: int) -> float:
     """Expected epoch of departure n: one mean service for the zeroth packet
     plus n cycles of mean idle (1/lam, by memorylessness of the arrivals)
-    and mean service."""
+    and mean service.  ValueError, naming the horizon, if it overflows."""
     mean = service.mean()
-    return mean + _require_count(n, "n") * (1.0 / _require_rate(lam, "lam") + mean)
+    cycle = 1.0 / _require_rate(lam, "lam") + mean
+    try:
+        horizon = mean + _require_count(n, "n") * cycle
+    except OverflowError:  # an integer n past the float range
+        horizon = math.inf
+    if horizon == math.inf:
+        raise ValueError(f"horizon E[S] + n (1/lam + E[S]) overflows a float at "
+                         f"n = {n}, lam = {lam!r}, E[S] = {mean!r}")
+    return horizon
 
 
 def trace_csv(trace: QueueTrace, config: dict | None = None) -> str:

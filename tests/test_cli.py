@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
@@ -682,6 +683,87 @@ def test_bounds_cas_column_certifies_at_large_erlang_shape(tmp_path):
     assert len(rows) == 2 and all(float(r[3]) > 0.0 for r in rows)
 
 
+# ------------------------------------------------ at the ends of the float range
+
+def _csv_rows(text):
+    return [[float(v) for v in line.split(",")] for line in text.strip().split("\n")[2:]]
+
+
+@pytest.mark.parametrize("mu, service, grid", [
+    ("1", "erlang:2:2", "2e-307:3e-307:2"),
+    ("1", "erlang:2:2", "1e-308:1e-307:2"),
+    ("1e-306", "erlang:2:2e-306", "0.05:10:2")])
+def test_erlang_bounds_certify_at_the_float_floor(mu, service, grid):
+    # the panels ran in the time unit of the flags: their edges overflowed
+    # (exit 2 after warnings), or an entropy 3.5e-6 below h(W) certified
+    rc, out, err = _run(["bounds", "--mu", mu, "--service", service, "--rho", grid],
+                        budget=cli.MEMORY_BUDGET)
+    assert rc == 0 and err == ""
+    law = parse_service(service)
+    for rho, *_ in _csv_rows(out):
+        lam = rho * float(mu)
+        h = law.departure_entropy(lam)
+        lower = max(1.0 - math.log(lam), law.entropy())
+        upper = 1.0 + math.log(1.0 / lam + law.mean())
+        assert lower - 1e-12 * abs(lower) <= h <= upper + 1e-12 * abs(upper)
+
+
+def test_erlang_bounds_do_not_depend_on_the_time_unit():
+    # the default grid at mu = 1e-306, the service scaled alike, gives the
+    # normalized columns of mu = 1
+    tables = [np.array(_csv_rows(_run(
+        ["bounds", "--mu", repr(mu), "--service", f"erlang:2:{2.0 * mu!r}"],
+        budget=cli.MEMORY_BUDGET)[1])) for mu in (1.0, 1e-306)]
+    assert tables[0].shape == (200, 4)
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-12
+
+
+def _bounded_cli(argv, timeout=60, address_space=2**30):
+    """Run the CLI in a fresh interpreter under a timeout and an
+    address-space cap, so that a run growing without bound ends in a
+    MemoryError; returns (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(timingq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    proc = subprocess.run([sys.executable, "-m", "timingq.cli", *argv], env=env,
+                          capture_output=True, timeout=timeout, preexec_fn=cap)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["simulate", "--lam", "5e-308", "--mu", "1e-306", "--n", "20"],
+     "--n, --lam, --service/--mu: departure epoch "),
+    (["simulate", "--lam", "5e-308", "--mu", "1e-306", "--n", "5"],
+     "--n, --lam, --service/--mu: departure epoch "),
+    (["decode", "--M", "4", "--n", "20", "--lam", "5e-308", "--mu", "1e-306",
+      "--trials", "3"], "--n, --lam, --mu: horizon "),
+    (["decode", "--M", "4", "--n", "8", "--lam", "5e-308", "--mu", "1e-306",
+      "--trials", "20"], "--n, --lam, --mu: departure epoch ")],
+    ids=["simulate", "simulate-last-departure", "decode-horizon", "decode-epoch"])
+def test_a_departure_epoch_past_the_float_range_exits_one(argv, refusal):
+    # once an epoch overflowed, the simulator appended inf arrivals forever
+    rc, err = _bounded_cli(argv)
+    assert rc == 1 and err.startswith(f"error: {refusal}") and err.count("\n") == 1
+
+
+def test_arrival_epochs_past_the_float_range_print_no_warning():
+    # the arrival epochs overflow after the one needed admission
+    rc, out, err = _run(["simulate", "--lam", "1e-306", "--mu", "1", "--n", "1"],
+                        budget=cli.MEMORY_BUDGET)
+    assert rc == 0 and err == "" and len(out.splitlines()) == 4
+
+
+def test_infodensity_refuses_a_horizon_past_the_float_range():
+    # T_n = 1e306 + 20 (2e307 + 1e306) overflows, and every density was
+    # divided by it: a mean of 0.0 and a tail fraction of 1.0
+    rc, _, err = _run(["infodensity", "--lam", "5e-308", "--mu", "1e-306", "--n", "20",
+                       "--trials", "2"], budget=cli.MEMORY_BUDGET)
+    assert rc == 1 and err.startswith("error: --n, --lam, --service/--mu: horizon ")
+
+
 @pytest.mark.parametrize("fixture", [
     {"arrival_gaps": [0, 1], "service_times": [2.5, 1.0], "n": 1},
     {"arrival_gaps": [1, 1, 1], "service_times": [2.5, 1.0], "n": 1},
@@ -806,26 +888,47 @@ LARGE_ERLANG = ("erlang:1000:1000", "erlang:1099511627776:1099511627776",
                 "erlang:9007199254740992:1", "erlang:100000000000000000000:1e20")
 # uniform:0.999:1.001 has mean 1 and lam (hi - lo) near 1e-3, the small end
 # of the uniform sum entropy's closed form
+# erlang:2:2e306 and uniform:0:2e-306 have a mean of 1e-306, which with an
+# arrival rate of 5e-308 puts the epochs near the top of the float range
 SERVICES = ("erlang:2:2", *LARGE_ERLANG, "uniform:0:2", "uniform:0.999:1.001",
-            "det:1", "exp:inf", "uniform:0:inf", "gamma:1")
-LAWS = st.one_of(_float("mu", 1.0, 2.0), _option("service", *SERVICES))
+            "erlang:2:2e306", "uniform:0:2e-306", "det:1", "exp:inf",
+            "uniform:0:inf", "gamma:1")
+# rates for --lam and --mu: the usual ones, and both ends of the float range
+LAMS = (0.5, 2.0, 5e-308)
+MUS = (1.0, 2.0, 1e-306, 1e306)
+LAWS = st.one_of(_float("mu", *MUS), _option("service", *SERVICES))
+# the --mu of bounds, shared with the services drawn to have mean 1/mu
+BOUNDS_MU = st.shared(st.one_of(st.sampled_from((1.0, 1e-306, 1e300)), st.floats()),
+                      key="bounds --mu")
+
+
+def _services_of_mean(mu):
+    # Erlang and uniform laws of mean 1/mu, malformed where mu is not a rate
+    mean = math.inf if mu == 0.0 else 1.0 / mu
+    return _option("service", f"erlang:2:{2.0 * mu!r}", f"erlang:1000:{1000.0 * mu!r}",
+                   f"uniform:0:{2.0 * mean!r}", f"uniform:{0.999 * mean!r}:{1.001 * mean!r}")
+
+
 # the slots of each command's argv
 SLOTS = {
-    "bounds": (_float("mu", 1.0),
+    "bounds": (BOUNDS_MU.map(lambda mu: ["--mu", repr(mu)]),
                _option("rho", "0.2:2:3", "0.5:1:2", "2:0.2:3", "0.2:inf:3",
-                       "1e-10:1:3"),
-               _maybe(_option("service", "erlang:2:2", "uniform:0:2",
-                              "uniform:0.999:1.001", "det:1", "exp:2",
-                              "uniform:0:inf")),
+                       "1e-10:1:3", "2e-307:3e-307:2", "1e-308:1e-307:2",
+                       "5e-324:1e-300:3"),
+               _maybe(st.one_of(
+                   _option("service", "erlang:2:2", "uniform:0:2",
+                           "uniform:0.999:1.001", "det:1", "exp:2",
+                           "uniform:0:inf"),
+                   BOUNDS_MU.flatmap(_services_of_mean))),
                _maybe(st.just(["--log"])), _maybe(st.just(["--no-cas"]))),
     "optimum": (_float("mu", 1.0, 2.0),
                 _option("bracket", "0.3:0.6", "0.1:2", "0.6:0.3", "0.3:1e9",
                         "0.3:1e300", "1e-10:1", "0.45:0.46"),
                 _maybe(_float("tol", 1e-3, 1e-300))),
-    "simulate": (_float("lam", 0.5, 2.0),
+    "simulate": (_float("lam", *LAMS),
                  _size("simulate", "n", 1, 5), LAWS,
                  _maybe(_option("fixture", "no/such/fixture.json"))),
-    "infodensity": (_float("lam", 0.5, 2.0),
+    "infodensity": (_float("lam", *LAMS),
                     st.one_of(_option("n", "20", "20,40", "40,20"),
                               _size("infodensity", "n", 20)), LAWS,
                     _maybe(_size("infodensity", "trials", 2)),
@@ -839,7 +942,7 @@ SLOTS = {
                          _size("decode", "M", 4)),
                st.one_of(_option("n", "2", "2,5", "5,2,3", "3,2,5,2"),
                          _size("decode", "n", 2)),
-               _float("lam", 0.5, 2.0), _float("mu", 1.0, 2.0),
+               _float("lam", *LAMS), _float("mu", *MUS),
                _maybe(_size("decode", "trials", 3)),
                _maybe(_size("decode", "threads", 2))),
 }
@@ -909,6 +1012,33 @@ def test_cli_names_the_flag_of_a_replaced_value(case):
 def test_cli_exits_cleanly_at_large_erlang_shapes(case):
     # the spoiling above rarely leaves a run that reaches these laws
     _run(case[0])
+
+
+# a --mu at either end of the float range, shared with the services of mean 1/mu
+SCALES = st.shared(st.sampled_from((1.0, 1e-306, 1e-300, 1e300, 1e306)), key="scale")
+TINY = ("5e-308", "1e-306")
+
+
+@FUZZ
+@given(st.one_of(
+    _argv("bounds", SCALES.map(lambda mu: ["--mu", repr(mu)]),
+          _option("rho", "2e-307:3e-307:2", "1e-308:1e-307:2", "0.05:10:3", "1:1e308:3"),
+          SCALES.flatmap(_services_of_mean)),
+    _argv("simulate", _option("lam", *TINY), _option("n", "1", "5", "20"),
+          st.one_of(_option("mu", "1e-306", "1e306"),
+                    _option("service", "erlang:2:2e306", "uniform:0:2e-306",
+                            "erlang:2:2e-306"))),
+    _argv("infodensity", _option("lam", *TINY), _option("n", "2", "20"),
+          st.one_of(_option("mu", "1e-306", "1e306"),
+                    _option("service", "erlang:2:2e306", "uniform:0:2e-306",
+                            "erlang:2:2e-306")),
+          _option("trials", "2"), _maybe(_option("target", "1e-300"))),
+    _argv("decode", _option("M", "4"), _option("n", "2", "8", "20"),
+          _option("lam", *TINY), _option("mu", "1e-306", "1e306"),
+          _option("trials", "3"))))
+def test_cli_exits_cleanly_at_the_ends_of_the_float_range(case):
+    # the slots above reach these rates and loads too, but seldom together
+    _check_blame(case)
 
 
 # valid flags around the size under test

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from oracles import (
+    gl_erlang_sum_entropy,
     gl_sum_log_pdf,
     mp_erlang_sum_entropy,
     mp_erlang_sum_log_pdf,
@@ -37,6 +38,7 @@ from timingq import (
     Uniform,
     cas_bound,
     hypoexp_entropy,
+    sweep,
     universal_bound_at,
 )
 from timingq import distributions
@@ -483,12 +485,56 @@ LARGE_SHAPES = (3000, 10**4, 10**5, 10**6, 2**20, 10**8, 2**30, 2**40, 2**53)
 LOADS = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 
 
+# (shape, rate, lam) over shapes, rates and loads, and mean-1 large shapes
+ERLANG_GRID = [(k, beta, lam) for k in (1, 2, 3, 5, 10, 50, 100, 1000, 2000)
+               for beta in (float(k), 2.0, 0.5) for lam in np.geomspace(1e-3, 1e3, 7)]
+LARGE_GRID = [(k, float(k), lam) for k in LARGE_SHAPES for lam in LOADS]
+
+
 def test_erlang_sum_entropy_certifies_across_shapes_rates_and_loads():
-    for k in (1, 2, 3, 5, 10, 50, 100, 1000, 2000):
-        for beta in (float(k), 2.0, 0.5):
-            for lam in np.geomspace(1e-3, 1e3, 7):
-                h = NumericalConvolution(lam, Erlang(k, beta)).entropy()
-                assert h >= Erlang(k, beta).entropy() - ENTROPY_ABS_TOL
+    for k, beta, lam in ERLANG_GRID:
+        h = NumericalConvolution(lam, Erlang(k, beta)).entropy()
+        assert h >= Erlang(k, beta).entropy() - ENTROPY_ABS_TOL
+
+
+@pytest.mark.parametrize("grid", [ERLANG_GRID, LARGE_GRID], ids=["rates", "large"])
+def test_erlang_sum_entropy_matches_the_32_64_node_rule(grid, monkeypatch):
+    # the 16/32-node panels on D in units of its mean cycle keep the value of
+    # the 32/64-node panels in the flags' unit, and certify 100 times tighter
+    for k, beta, lam in grid:
+        law = Erlang(k, beta)
+        assert abs(law.departure_entropy(lam) - gl_erlang_sum_entropy(law, lam)) <= 1e-11
+    monkeypatch.setattr(distributions, "ENTROPY_ABS_TOL", 1e-10)
+    for k, beta, lam in grid:
+        Erlang(k, beta).departure_entropy(lam)
+
+
+def test_erlang_cas_column_keeps_the_32_64_node_values():
+    # the default grid of `bounds --mu 1 --service erlang:2:2`, whose
+    # largest change was 3.4e-14
+    law, rho = Erlang(2, 2.0), np.linspace(0.05, 10.0, 200)
+    ref = [(gl_erlang_sum_entropy(law, r) - law.entropy()) / (1.0 / r + 1.0) for r in rho]
+    assert np.max(np.abs(sweep(rho, 1.0, service=law).cas_norm - ref)) <= 1e-13
+
+
+def test_erlang_sum_entropy_answers_from_its_bracket_where_it_is_narrow():
+    # 1 + log(1/lam + E[S]) - h(W) = log1p(lam E[S]) = 1e-10: no panel is
+    # needed, and the midpoint errs by at most 5e-11
+    law, lam = Erlang(2, 2.0), 1e-10
+    with mock.patch.object(Erlang, "departure_log_pdf") as density:
+        h = law.departure_entropy(lam)
+    density.assert_not_called()
+    assert abs(h - (1.0 - math.log(lam))) <= 1e-10
+
+
+def test_erlang_sum_entropy_refuses_a_value_outside_its_bracket(monkeypatch):
+    # the density of D/2: mass 1 and converging panels, but an entropy
+    # log 2 nats too low, below h(W) = 1
+    exact = Erlang.departure_log_pdf
+    monkeypatch.setattr(Erlang, "departure_log_pdf",
+                        lambda self, lam, d: math.log(2.0) + exact(self, lam, 2.0 * d))
+    with pytest.raises(QuadratureError, match="bracket"):
+        Erlang(2, 2.0).departure_entropy(1.0)
 
 
 @pytest.mark.parametrize("lam", LOADS)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,33 @@ def test_departure_methods_hold_lam_to_the_rate_rule(law, lam, method):
     # called directly, not through NumericalConvolution
     with pytest.raises(ValueError, match="^lam"):
         method(law, lam)
+
+
+_D_PAST = np.array([1.0, 1e10, 1e300])
+_LOG_TINY = math.log(1e-300)
+
+
+@pytest.mark.parametrize("law, lam, expected", [
+    (Exponential(1e300), 1e-300, _LOG_TINY - 1e-300 * _D_PAST),
+    (Exponential(1e-300), 1e300, _LOG_TINY - 1e-300 * _D_PAST),
+    (Uniform(0.0, 1e10), 1e300, [-math.log(1e10), -math.log(1e10), -math.inf])],
+    ids=["fast-service", "fast-arrivals", "uniform"])
+def test_departure_density_past_the_float_range_warns_of_nothing(law, lam, expected):
+    # the rate times d overflows to inf, where 1 - e^(-x) is 1: the two-rate
+    # law is its slower exponential, and the uniform sum law flat up to hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lp = law.departure_log_pdf(lam, _D_PAST)
+    assert np.allclose(lp, expected, rtol=1e-15, atol=0)
+
+
+def test_exponential_past_the_float_range_warns_of_nothing():
+    # an implied service time of 1e307 at rate 1e306 (a decoder hypothesis),
+    # and a hashed codeword gap at arrival rate 5e-308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Exponential(1e306).log_pdf(1e307) == -math.inf
+        assert Exponential(5e-308).ppf(0.9999) == math.inf
 
 
 def test_convolution_density_zero_at_origin():

@@ -131,6 +131,15 @@ def test_expected_decode_time_formula():
     assert got == pytest.approx(0.25 + 10 * (0.5 + 0.25), abs=1e-15)
 
 
+def test_expected_decode_time_refuses_a_horizon_past_the_float_range():
+    # 1e306 + 20 (2e307 + 1e306) overflows; every rate divided by it read 0
+    with pytest.raises(ValueError, match="^horizon "):
+        expected_decode_time(5e-308, Exponential(1e-306), 20)
+    with pytest.raises(ValueError, match="^horizon "):  # n itself past the float range
+        expected_decode_time(1.0, Exponential(1.0), 10**400)
+    assert expected_decode_time(5e-308, Exponential(1e-306), 2) < math.inf
+
+
 def test_trace_csv_golden():
     trace = simulate(SimConfig(arrival=HAND_GAPS, service=HAND_SERVICES, n=1))
     expected = (
