@@ -44,7 +44,7 @@ __all__ = [
 DEFAULT_TRIAL_SEED = 20_177
 
 # points per density evaluation in `info_density_trial`
-_DENSITY_BLOCK = 2**16
+_DENSITY_BLOCK = 2**14
 
 
 class TrialFailure(RuntimeError):
@@ -85,8 +85,8 @@ class InfoDensityReport:
 
     densities holds the per-trial values in trial order (failures
     excluded); mean and stderr summarize them, and tail_fraction is the
-    share of trials at or below target - gamma.  All three are nan when
-    every trial failed.
+    share of trials at or below target - gamma.  All three are computed
+    from densities, never passed in, and are nan when every trial failed.
     """
 
     lam: float
@@ -97,9 +97,9 @@ class InfoDensityReport:
     target: float
     gamma: float
     densities: np.ndarray = field(repr=False)
-    mean: float = 0.0
-    stderr: float = 0.0
-    tail_fraction: float = 0.0
+    mean: float = field(default=0.0, init=False)
+    stderr: float = field(default=0.0, init=False)
+    tail_fraction: float = field(default=0.0, init=False)
     failed_trials: int = 0
 
     def __post_init__(self):

@@ -278,10 +278,13 @@ def _cmd_simulate(args) -> str:
 def _cmd_infodensity(args) -> str:
     service = _service_from_args(args)
     schedule = parse_int_list(args.n, "--n")
-    # one result per trial, and the arrays of each trial in flight; the
-    # library refuses a schedule that does not increase before any work
-    _require_budget("--n, --trials, --threads", args.trials
-                    + schedule[-1] * min(args.threads, args.trials), 96)
+    # one result per trial and, per trial in flight, its arrays and one
+    # density block's temporaries, under twice the arrays' bytes per point
+    # for every law; the library refuses a schedule that does not increase
+    n = schedule[-1]
+    in_flight = n + 2 * min(n, achievability._DENSITY_BLOCK)
+    _require_budget("--n, --trials, --threads",
+                    args.trials + in_flight * min(args.threads, args.trials), 96)
     try:
         reports = achievability.empirical_liminf(
             args.lam, service, schedule, args.trials, target=args.target,

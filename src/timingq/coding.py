@@ -16,7 +16,6 @@ and replayable decoding possible without storing anything.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,8 @@ class Codebook:
     default, giving infinite codewords; `inter_arrival` must be a duration
     law) or from explicit finite sequences via `from_sequences`.
     The arrival epochs of all codewords live in one (M, J) matrix, the one
-    `epoch_matrix` returns: explicit codewords fill it in
-    full at construction, hashed ones extend it on demand, guarded so a
-    codebook can be shared across worker threads.
+    `epoch_matrix` returns: explicit codewords fill it in full at
+    construction, hashed ones extend it on demand.
     `sequences`, validated by `from_sequences`, holds explicit codewords.
     """
 
@@ -84,7 +82,6 @@ class Codebook:
             self._matrix = np.full((self.M, max(s.size for s in sequences)), np.inf)
             for row, s in zip(self._matrix, sequences):
                 row[: s.size] = np.cumsum(s)
-        self._lock = threading.Lock()
 
     @classmethod
     def from_sequences(cls, sequences) -> "Codebook":
@@ -124,16 +121,18 @@ class Codebook:
         Explicit codewords shorter than J are padded with +inf, which the
         decoder reads as "no further arrivals": any hypothesis forced past
         the end of its codeword is eliminated rather than erroring out.
+        Each extension, its width and its columns, depends only on the
+        codebook and the width before it, so threads sharing a codebook can
+        at worst repeat one.
         """
-        with self._lock:
-            mat = self._matrix
-            while self._explicit is None and np.min(mat[:, -1]) <= beyond:
-                width = mat.shape[1]
-                j = np.arange(width, width + max(64, width - 1), dtype=np.uint64)
-                bases = self._base(np.arange(1, self.M + 1, dtype=np.uint64))
-                gaps = self.inter_arrival.ppf(_hash_uniform(bases[:, None], j))
-                mat = self._matrix = np.hstack((mat, _extend_epochs(mat[:, -1], gaps)))
-            return mat
+        mat = self._matrix
+        while self._explicit is None and np.min(mat[:, -1]) <= beyond:
+            width = mat.shape[1]
+            j = np.arange(width, width + max(64, width - 1), dtype=np.uint64)
+            bases = self._base(np.arange(1, self.M + 1, dtype=np.uint64))
+            gaps = self.inter_arrival.ppf(_hash_uniform(bases[:, None], j))
+            mat = self._matrix = np.hstack((mat, _extend_epochs(mat[:, -1], gaps)))
+        return mat
 
 
 def encode(codebook: Codebook, u: int):

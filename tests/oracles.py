@@ -20,7 +20,9 @@ integral, where mpmath's 1F1 and incomplete gamma function take too long
 or give up.  `scan_maximize_rate` is the rate optimizer as it was before
 `maximize_rate` became one golden-section search: a 0.01-step grid scan
 that assumes no unimodality, then golden section around the best grid
-point.  None of them serves the library itself.
+point.  `dt_bound` estimates the dependence-testing bound on the error of
+random timing codes, the yardstick for `ml_decode`.  None of them serves
+the library itself.
 """
 
 import math
@@ -281,3 +283,23 @@ def scan_maximize_rate(mu: float, bracket: tuple[float, float], tol: float):
     if values[peak] > value:
         rho_star, value = float(grid[peak]), float(values[peak])
     return float(rho_star), float(value)
+
+
+def dt_bound(lam: float, service, M: int, n: int, samples: int, seed: int):
+    """Monte Carlo estimate of the dependence-testing (DT) bound of
+    Polyanskiy, Poor & Verdu (IEEE Trans. IT 2010, Theorem 17) on the error
+    of M random codewords with Poisson(lam) arrivals, averaged over
+    codebooks, read at n departures:
+
+        E[exp(-(i - log((M - 1)/2))^+)],  i = sum_j log f_S(S_j) - log f_D(W_j + S_j)
+
+    over n renewal cycles of idle W_j ~ Exp(lam) and service S_j, from the
+    law's own `log_pdf` and `departure_log_pdf`.  Returns the estimate and
+    its standard error."""
+    rng = np.random.default_rng(seed)
+    idles = rng.exponential(1.0 / lam, size=(samples, n))
+    services = np.asarray(service.sample(rng, size=(samples, n)), dtype=float)
+    i = np.sum(service.log_pdf(services)
+               - service.departure_log_pdf(lam, idles + services), axis=1)
+    terms = np.exp(-np.maximum(i - math.log((M - 1) / 2), 0.0))
+    return float(np.mean(terms)), float(np.std(terms, ddof=1) / math.sqrt(samples))

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import fisher_exact
+from scipy.stats import binom, fisher_exact
 
 from conftest import RHO_STAR
+from oracles import dt_bound
 from timingq import (
     Deterministic,
     Erlang,
@@ -113,6 +114,15 @@ def test_report_summaries_of_few_or_no_survivors():
     assert (one.mean, one.stderr, one.tail_fraction) == (0.5, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("summary", ["mean", "stderr", "tail_fraction"])
+def test_report_computes_its_summaries_itself(summary):
+    # the summaries come from the densities alone, so none is an argument
+    with pytest.raises(TypeError, match=summary):
+        InfoDensityReport(lam=LAM, mu=1.0, service_kind="Exponential", n=10,
+                          trials=3, target=RATE, gamma=0.05 * RATE,
+                          densities=np.array([0.5]), **{summary: 0.5})
+
+
 def test_report_stderr_is_scale_exact():
     # the stderr is taken on values scaled by a power of two: bit for bit
     # the unscaled result where that is finite, and finite where it is not
@@ -199,6 +209,21 @@ def test_errors_grow_with_message_count():
     assert errs[0] < errs[1] < errs[2]
     assert significantly_greater(errs[1], errs[0], 700)
     assert significantly_greater(errs[2], errs[1], 700)
+
+
+@pytest.mark.parametrize("M, ns, trials", [(16, [2, 5, 10], 500), (256, [5, 10], 200)])
+def test_decode_errors_stay_under_the_dependence_testing_bound(M, ns, trials):
+    # each trial draws a fresh codebook of independent Poisson codewords, and
+    # the ML decoder does at least as well as the DT threshold decoder on
+    # every codebook, so its error averaged over codebooks is at most the DT
+    # bound: the count may pass trials * bound only by a one-sided binomial
+    # margin (at 1e-6), with the bound raised by 4 Monte Carlo stderrs.  The
+    # cells are those with visible errors at lam = 0.456, mu = 1
+    rows = decode_rate_experiment([M], LAM, 1.0, ns, trials=trials)
+    for row, n in zip(rows, ns):
+        dt, se = dt_bound(LAM, Exponential(1.0), M, n, samples=20000, seed=1)
+        limit = binom.isf(1e-6, trials, min(1.0, dt + 4.0 * se))
+        assert row["errors"] <= limit, (M, n, row["errors"], dt, limit)
 
 
 def test_decode_rows_report_shape():

@@ -293,36 +293,51 @@ def test_infodensity_with_negligible_service_is_finite(tmp_path):
 
 
 def test_infodensity_at_the_largest_erlang_shape_is_quick(tmp_path):
-    # scipy's 1F1(k; k+1; .) takes time growing with k, minutes near 2**53
+    # scipy's 1F1 takes time growing with the shape, minutes near 2**53; at
+    # the largest shape accepted a short run takes seconds
     _fresh_interpreter(
         ["-m", "timingq.cli", "infodensity", "--lam", "1",
-         "--service", "erlang:9007199254740992:9007199254740992",
+         "--service", "erlang:1048575:1048575",
          "--n", "5", "--trials", "2", "--out", str(tmp_path / "x.csv")],
         timeout=30)
 
 
 def test_bounds_at_the_largest_erlang_shape(tmp_path):
-    # the Erlang entropy read 0.0 at 2**53, so the universal bound read 0.4653
-    # at rho = 0.2, below the 1.3801 of the blunter erlang:1000000:1000000
+    # at rho = 0.2 the universal bound is above the 1.3801 of the blunter
+    # erlang:1000000:1000000; the closed-form Erlang entropy, which read 0.0
+    # at 2**53, errs by 8.9e-11 at this shape
     out = tmp_path / "x.csv"
-    assert main(["bounds", "--mu", "1", "--service",
-                 "erlang:9007199254740992:9007199254740992", "--rho", "0.2:2:3",
-                 "--no-cas", "--out", str(out)]) == 0
+    assert main(["bounds", "--mu", "1", "--service", "erlang:1048575:1048575",
+                 "--rho", "0.2:2:3", "--no-cas", "--out", str(out)]) == 0
     row = out.read_text().splitlines()[2].split(",")
     assert row[0] == "0.2"
-    assert abs(float(row[2]) - 3.2902035) <= 1e-6
+    assert abs(float(row[2]) - 1.3840487638) <= 1e-9
 
 
 def test_infodensity_at_the_largest_erlang_shape_is_near_zero(tmp_path):
-    # S ~ Erlang(2**53, 1) dwarfs W ~ Exp(1), so the density per unit time is
-    # below 1e-20; the log-densities' lost digits made it read -6.5e-15
+    # S ~ Erlang(2**20 - 1, 1) dwarfs W ~ Exp(1): the density per unit time
+    # has mean cas_bound = 4.5e-13 and a spread near 2e-10 per trial, from
+    # the service's relative width of 1e-3
     out = tmp_path / "x.json"
-    assert main(["infodensity", "--lam", "1", "--service", "erlang:9007199254740992:1",
+    assert main(["infodensity", "--lam", "1", "--service", "erlang:1048575:1",
                  "--n", "20", "--trials", "2", "--target", "0.1", "--format", "json",
                  "--out", str(out)]) == 0
     row = json.loads(out.read_text())["rows"][0]
     assert row["failed_trials"] == 0
-    assert abs(row["mean"]) <= 1e-20
+    assert abs(row["mean"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mu", "1", "--rho", "0.5:1:2"],
+    ["simulate", "--lam", "0.5", "--n", "5"],
+    ["infodensity", "--lam", "0.5", "--n", "20", "--trials", "2"]],
+    ids=lambda argv: argv[0])
+def test_erlang_shapes_stop_below_2_to_the_20(argv):
+    # the largest shape accepted, and the first refused with one line
+    rc, out, err = _run(argv + ["--service", "erlang:1048575:1048575"])
+    assert rc == 0 and err == "" and out
+    rc, _, err = _run(argv + ["--service", "erlang:1048576:1048576"])
+    assert rc == 1 and err.startswith("error: --service: shape must be below 2**20")
 
 
 def test_infodensity_stderr_stays_finite_at_huge_densities(tmp_path):
@@ -446,7 +461,7 @@ def test_validation_failures_exit_one(tmp_path, capsys):
         assert main(["infodensity", "--lam", "1", "--service", service,
                      "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
         assert "--service" in capsys.readouterr().err
-    # Erlang shapes past 2**53: numpy cannot cast one of 2**63 or more
+    # Erlang shapes of 2**20 and up, among them shapes numpy cannot cast
     for argv in (["infodensity", "--lam", "1", "--service",
                   "erlang:100000000000000000000:1e20", "--n", "20", "--trials", "2"],
                  ["bounds", "--mu", "1e-20", "--service",
@@ -564,12 +579,24 @@ def test_decode_budget_takes_the_largest_cell(tmp_path):
      "--trials", "2"],
     ["infodensity", "--lam", "3", "--service", "erlang:1000:1000", "--n", "200000",
      "--trials", "2"],
+    # Loader's series from shape 9 on: one block's temporaries outgrew the
+    # arrays' bytes per point
+    ["infodensity", "--lam", "5", "--service", "erlang:9:9", "--n", "65536",
+     "--trials", "2"],
+    ["infodensity", "--lam", "0.456", "--service", "erlang:50:50", "--n", "30000",
+     "--trials", "2"],
+    ["infodensity", "--lam", "2", "--service", "erlang:20:20", "--n", "100000",
+     "--trials", "2"],
     ["decode", "--M", "256", "--n", "200", "--lam", "0.456", "--mu", "1",
      "--trials", "3"],
     ["decode", "--M", "16,256", "--n", "4000,200", "--lam", "0.456", "--mu", "1",
      "--trials", "2"],
 ], ids=lambda argv: " ".join(argv))
-def test_memory_estimate_bounds_the_traced_peak(argv, tmp_path, monkeypatch):
+def test_memory_estimate_bounds_the_traced_peak(argv, tmp_path):
+    _assert_peak_within_estimate(argv + ["--out", str(tmp_path / "x.out")])
+
+
+def _assert_peak_within_estimate(argv):
     # each command asks _require_budget to allow its estimated peak before
     # any work; the traced peak of the run stays within what it asked plus
     # a fixed 1 MiB for caches and small tables
@@ -580,15 +607,36 @@ def test_memory_estimate_bounds_the_traced_peak(argv, tmp_path, monkeypatch):
         asked.append(min(items, 2**64) * bytes_per_item)
         allow(flags, items, bytes_per_item)
 
-    monkeypatch.setattr(cli, "_require_budget", record)
-    tracemalloc.start()
-    try:
-        rc = main(argv + ["--out", str(tmp_path / "x.out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with mock.patch.object(cli, "_require_budget", record):
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert rc == 0
     assert peak <= sum(asked) + 2**20
+
+
+# every law, Erlang shapes across the whole range, loads on both sides of
+# the service rate, and n within a factor of two of one density block
+MEMORY_LAWS = st.one_of(
+    st.sampled_from(["exp:1", "uniform:0:2", "uniform:0.999:1.001"]),
+    st.builds("erlang:{0}:{1}".format,
+              st.one_of(st.integers(9, 64), st.integers(1, 2**20 - 1)),
+              st.sampled_from(["0.5", "2", "1000"])))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(service=MEMORY_LAWS, lam=st.sampled_from(["0.05", "0.5", "5", "50"]),
+       n=st.integers(achievability._DENSITY_BLOCK // 2, 2 * achievability._DENSITY_BLOCK),
+       threads=st.sampled_from(["1", "2"]))
+def test_infodensity_peak_stays_within_its_estimate_near_one_block(service, lam, n,
+                                                                   threads):
+    _assert_peak_within_estimate(
+        ["infodensity", "--service", service, "--lam", lam, "--n", str(n),
+         "--trials", "2", "--threads", threads, "--target", "0.1",
+         "--out", os.devnull])
 
 
 def test_bounds_rejects_service_mean_other_than_one_over_mu(tmp_path, capsys):
@@ -882,9 +930,9 @@ def _size(command, name, *valid):
     return values.map(lambda v: [f"--{name}", str(v)])
 
 
-# Erlang shapes of 1000, 2**40, 2**53 (the largest accepted) and 1e20, past
-# what numpy can cast
-LARGE_ERLANG = ("erlang:1000:1000", "erlang:1099511627776:1099511627776",
+# Erlang shapes of 1000, 2**20 - 1 (the largest accepted), 2**20 (the first
+# refused), 2**53 and 1e20, past what numpy can cast
+LARGE_ERLANG = ("erlang:1000:1000", "erlang:1048575:1048575", "erlang:1048576:1048576",
                 "erlang:9007199254740992:1", "erlang:100000000000000000000:1e20")
 # uniform:0.999:1.001 has mean 1 and lam (hi - lo) near 1e-3, the small end
 # of the uniform sum entropy's closed form

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,6 +64,33 @@ def test_epoch_prefix_stable_under_lazy_extension():
     short = book.epoch_matrix(5.0)[0].copy()
     long = book.epoch_matrix(500.0)[0]
     assert np.array_equal(long[: short.size], short)
+
+
+def test_threads_sharing_a_codebook_see_the_serial_matrix():
+    # concurrent extensions of one hashed codebook may repeat one another,
+    # but every matrix a thread gets is a prefix of the serial build's, bit
+    # for bit, and so is the codebook's own afterwards; more threads than
+    # cores, switching every microsecond
+    law, beyonds = Exponential(1.0), [50.0 * i for i in range(1, 41)]
+    serial = Codebook(M=64, seed=5, inter_arrival=law).epoch_matrix(beyonds[-1])
+    shared = Codebook(M=64, seed=5, inter_arrival=law)
+    start = threading.Barrier(4, timeout=30)
+
+    def extend(offset):
+        start.wait()
+        return [shared.epoch_matrix(b) for b in beyonds[offset::4]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seen = [mat for mats in pool.map(extend, range(4), timeout=60)
+                    for mat in mats]
+    finally:
+        sys.setswitchinterval(interval)
+    for mat in seen + [shared.epoch_matrix(beyonds[-1])]:
+        assert np.array_equal(mat, serial[:, :mat.shape[1]])
+    assert shared.epoch_matrix(beyonds[-1]).shape == serial.shape
 
 
 LAWS = [Exponential(1.0), Erlang(2, 2.0), Uniform(0.5, 1.5)]
